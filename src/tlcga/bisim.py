@@ -6,6 +6,17 @@ every coalition, each outcome of the answering block is covered by a
 related outcome of the challenging block, in both directions. Bisimilar
 states satisfy the same formulas; for non-bisimilar states a
 level-indexed characteristic formula separates them.
+
+Refinement works on partitions of the states. Level 0 groups states by
+their atoms. At the next level every profile of a state gets a vector
+that lists, per coalition, the set of current classes its action block
+reaches. While the relation is an equivalence, the pairwise condition
+above holds for two states exactly when their sets of ⊆-minimal
+vectors (componentwise inclusion) are equal, so a state's new class is
+keyed by its current class and that set. Refinement stops when the
+number of classes stops growing. A level costs one vector per profile
+over the 2^|Agt| coalitions, plus the ⊆-minimal filter over each
+state's distinct vectors.
 """
 
 from __future__ import annotations
@@ -61,76 +72,103 @@ class _OutSets:
         return self._blocks[(state, coalition)][restriction]
 
 
-def _covers(
-    outs: _OutSets,
-    big_state: str,
-    big_profile: tuple[str, ...],
-    small_state: str,
-    small_profile: tuple[str, ...],
-    related: frozenset,
-) -> bool:
-    for coalition in outs.coalitions:
-        big_out = outs.outcomes(big_state, coalition, big_profile)
-        for small in outs.outcomes(small_state, coalition, small_profile):
-            if not any((big, small) in related for big in big_out):
-                return False
-    return True
+def _block_rows(
+    outs: _OutSets, state: str
+) -> tuple[list[tuple[str, ...]], set[tuple[int, ...]]]:
+    """The state's action blocks, and each profile's row of block indices.
+
+    A row holds one block per coalition, grand coalition first: its
+    small blocks make the componentwise tests of `_minimal` fail early.
+    Profiles that fall in the same blocks share one row.
+    """
+    coalitions = outs.coalitions[::-1]
+    blocks: list[tuple[str, ...]] = []
+    index: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
+    for coalition in coalitions:
+        for restriction, outcomes in outs._blocks[(state, coalition)].items():
+            index[coalition, restriction] = len(blocks)
+            blocks.append(tuple(outcomes))
+    rows = {
+        tuple(index[coalition, tuple(profile[i] for i in coalition)]
+              for coalition in coalitions)
+        for profile in outs.model.profiles(state)
+    }
+    return blocks, rows
 
 
-def _pair_ok(
-    outs: _OutSets, s1: str, s2: str, related: frozenset
-) -> bool:
+def _minimal(vectors: set[tuple[int, ...]]) -> frozenset:
+    """The ⊆-minimal vectors, with class sets as bitmasks."""
+    kept: list[tuple[int, ...]] = []
+    for vector in sorted(vectors, key=lambda v: sum(m.bit_count() for m in v)):
+        if not any(
+            all((low & ~high) == 0 for low, high in zip(below, vector))
+            for below in kept
+        ):
+            kept.append(vector)
+    return frozenset(kept)
+
+
+def _split(
+    rows: dict[str, tuple[list[tuple[str, ...]], set[tuple[int, ...]]]],
+    partition: dict[str, int],
+) -> dict[str, int]:
+    """One refinement step: key each state by class and minimal vectors."""
+    bit = {state: 1 << cls for state, cls in partition.items()}
+    ids: dict[tuple[int, frozenset], int] = {}
+    refined = {}
+    for state, (blocks, state_rows) in rows.items():
+        masks = []
+        for block in blocks:
+            mask = 0
+            for target in block:
+                mask |= bit[target]
+            masks.append(mask)
+        vectors = {tuple([masks[i] for i in row]) for row in state_rows}
+        key = (partition[state], _minimal(vectors))
+        refined[state] = ids.setdefault(key, len(ids))
+    return refined
+
+
+def _partition_levels(outs: _OutSets) -> list[dict[str, int]]:
+    """Class ids per state, from atom equivalence to the fixpoint.
+
+    Class ids are numbered in state order, so the first state of each
+    class is its least member by position.
+    """
     model = outs.model
-    for challenger in model.profiles(s1):
-        if not any(
-            _covers(outs, s1, challenger, s2, answer, related)
-            for answer in model.profiles(s2)
-        ):
-            return False
-    for challenger in model.profiles(s2):
-        if not any(
-            _covers(outs, s2, challenger, s1, answer, related)
-            for answer in model.profiles(s1)
-        ):
-            return False
-    return True
+    rows = {state: _block_rows(outs, state) for state in model.states}
+    atoms: dict[frozenset[str], int] = {}
+    levels = [
+        {state: atoms.setdefault(model.props_at(state), len(atoms))
+         for state in model.states}
+    ]
+    while True:
+        refined = _split(rows, levels[-1])
+        if len(set(refined.values())) == len(set(levels[-1].values())):
+            return levels
+        levels.append(refined)
 
 
-def _atom_pairs(model: ConcurrentGameModel) -> frozenset:
+def _pairs(partition: dict[str, int]) -> frozenset:
+    classes: dict[int, list[str]] = {}
+    for state, cls in partition.items():
+        classes.setdefault(cls, []).append(state)
     return frozenset(
         (s1, s2)
-        for s1 in model.states
-        for s2 in model.states
-        if model.props_at(s1) == model.props_at(s2)
-    )
-
-
-def _refine(outs: _OutSets, related: frozenset) -> frozenset:
-    return frozenset(
-        pair for pair in related if _pair_ok(outs, pair[0], pair[1], related)
+        for members in classes.values()
+        for s1 in members
+        for s2 in members
     )
 
 
 def greatest_bisimulation(model: ConcurrentGameModel) -> frozenset:
     """The largest bisimulation, as a symmetric set of state pairs."""
-    outs = _OutSets(model)
-    related = _atom_pairs(model)
-    while True:
-        refined = _refine(outs, related)
-        if refined == related:
-            return related
-        related = refined
+    return _pairs(_partition_levels(_OutSets(model))[-1])
 
 
 def bisimulation_levels(model: ConcurrentGameModel) -> list[frozenset]:
     """The refinement sequence from atom equivalence to the fixpoint."""
-    outs = _OutSets(model)
-    levels = [_atom_pairs(model)]
-    while True:
-        refined = _refine(outs, levels[-1])
-        if refined == levels[-1]:
-            return levels
-        levels.append(refined)
+    return [_pairs(level) for level in _partition_levels(_OutSets(model))]
 
 
 def are_bisimilar(
@@ -188,8 +226,14 @@ class _Characteristics:
     def __init__(self, model: ConcurrentGameModel) -> None:
         self.model = model
         self.outs = _OutSets(model)
-        self.levels = bisimulation_levels(model)
+        self.levels = _partition_levels(self.outs)
         self.position = {state: i for i, state in enumerate(model.states)}
+        self._representatives: list[dict[int, str]] = []
+        for partition in self.levels:
+            firsts: dict[int, str] = {}
+            for state in model.states:
+                firsts.setdefault(partition[state], state)
+            self._representatives.append(firsts)
         self._memo: dict[tuple[int, str], StateFormula] = {}
         self._names = {
             i: Coalition(model.agents[k] for k in indices)
@@ -197,9 +241,8 @@ class _Characteristics:
         }
 
     def representative(self, level: int, state: str) -> str:
-        related = self.levels[level]
-        cls = [t for t in self.model.states if (state, t) in related]
-        return min(cls, key=self.position.__getitem__)
+        """The least state by position in the class of `state`."""
+        return self._representatives[level][self.levels[level][state]]
 
     def formula(self, level: int, state: str) -> StateFormula:
         rep = self.representative(level, state)
@@ -245,10 +288,11 @@ def distinguishing_formula(
     are bisimilar.
     """
     chars = _Characteristics(model)
-    if (s1, s2) in chars.levels[-1]:
+    if chars.levels[-1][s1] == chars.levels[-1][s2]:
         return None
     first_split = next(
-        k for k, related in enumerate(chars.levels) if (s1, s2) not in related
+        k for k, partition in enumerate(chars.levels)
+        if partition[s1] != partition[s2]
     )
     evaluator = Evaluator(model)
     for level in range(first_split, len(chars.levels)):

@@ -49,9 +49,6 @@ class CorpusCase:
     checks: tuple[CheckQuery, ...] = ()
     oracle_queries: tuple[OracleQuery, ...] = ()
 
-    def formula_text(self, name: str) -> str:
-        return self.formulas[name]
-
 
 def example_a() -> CorpusCase:
     """Two agents circling through three states.

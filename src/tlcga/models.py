@@ -127,17 +127,6 @@ class ConcurrentGameModel:
     def profile_as_mapping(self, profile: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.agents, profile))
 
-    def restrict_profile(
-        self, profile: tuple[str, ...], coalition: Iterable[str]
-    ) -> tuple[tuple[str, str], ...]:
-        """The joint action of `coalition` induced by a full profile."""
-        members = frozenset(coalition)
-        return tuple(
-            (agent, action)
-            for agent, action in zip(self.agents, profile)
-            if agent in members
-        )
-
     def agreeing_profiles(
         self, state: str, coalition: Iterable[str], joint: Mapping[str, str]
     ) -> tuple[tuple[str, ...], ...]:
@@ -324,12 +313,14 @@ class ConcurrentGameModel:
 def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     """Build and fully check a model from the JSON document structure."""
     try:
-        agents = list(data["agents"])
+        agents = data["agents"]
         state_entries = list(data["states"])
         actions = data["actions"]
         transitions = data["transitions"]
     except (KeyError, TypeError) as exc:
         raise InvalidModelError("missing model section: %s" % exc) from None
+    if not isinstance(agents, list):
+        raise InvalidModelError("agents must be a JSON list")
     if not agents:
         raise InvalidModelError("model declares no agents")
     agent_order = tuple(sorted(agents))
@@ -339,7 +330,12 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     for entry in state_entries:
         state = entry["id"]
         states.append(state)
-        for prop in entry.get("props", []):
+        props = entry.get("props", [])
+        if not isinstance(props, list):
+            raise InvalidModelError(
+                "props of state %s must be a JSON list" % state
+            )
+        for prop in props:
             valuation.setdefault(prop, set()).add(state)
     state_set = set(states)
     if len(state_set) != len(states):
@@ -356,6 +352,11 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
             if not acts:
                 raise InvalidModelError(
                     "empty action set for agent %s at state %s" % (agent, state)
+                )
+            if not isinstance(acts, list):
+                raise InvalidModelError(
+                    "actions of agent %s at state %s must be a JSON list"
+                    % (agent, state)
                 )
             action_table[state][agent] = tuple(acts)
     unknown = set(actions) - state_set

@@ -36,6 +36,7 @@ from .formulas import (
     Var,
     classify,
     coalition_key,
+    free_vars,
     make_path_and,
     path_conjuncts,
     split_long_term_and_next,
@@ -247,7 +248,7 @@ class _Translator:
         return name
 
     def state(self, phi: StateFormula) -> StateFormula:
-        memoizable = not free_fixpoint_vars(phi)
+        memoizable = not free_vars(phi)
         if memoizable and phi in self.memo:
             return self.memo[phi]
         result = self._state(phi)
@@ -298,12 +299,6 @@ class _Translator:
         if isinstance(goal, PathAnd):
             return PathAnd(self.goal(goal.left), self.goal(goal.right))
         raise TypeError("nexttime assignment carries a non-X goal: %r" % (goal,))
-
-
-def free_fixpoint_vars(phi: StateFormula) -> frozenset[str]:
-    from .formulas import free_vars
-
-    return free_vars(phi)
 
 
 def to_mu(phi: StateFormula) -> StateFormula:

@@ -16,7 +16,7 @@ from tlcga.bisim import (
     hm_agreement,
 )
 from tlcga.checking import check, extension_of
-from tlcga.corpus import build_case, default_cases
+from tlcga.corpus import build_case, default_cases, sheep_wolves
 from tlcga.formulas import (
     Coalition,
     GoalAssignment,
@@ -405,11 +405,14 @@ def test_criterion_10_oracle_soundness():
 
 
 def test_criterion_11_bisimulation_invariance():
+    river = [
+        sheep_wolves(2, 2, "simultaneous"),
+        sheep_wolves(2, 2, "wolves_then_sheep"),
+        sheep_wolves(3, 3, "simultaneous"),
+    ]
     with _Budget(11, "bisimulation invariance", 120) as b:
-        for case in default_cases():
+        for case in default_cases() + river:
             model = case.model
-            if len(model.states) > 8:
-                continue
             formulas = [
                 parse_state_formula(text)
                 for text in case.formulas.values()
@@ -420,6 +423,10 @@ def test_criterion_11_bisimulation_invariance():
                 "%s: bisimilar states disagree: %s"
                 % (case.name, violations),
             )
+            # Checking the characteristic formulas of every pair is slow
+            # beyond 8 states; that cost is evaluation, not refinement.
+            if len(model.states) > 8:
+                continue
             related = greatest_bisimulation(model)
             for left in model.states:
                 for right in model.states:

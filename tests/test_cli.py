@@ -95,6 +95,36 @@ class TestExitCodes:
                          "--formula", "<< {a} ->", "--state", "s")
         assert code == 2
 
+    @staticmethod
+    def _one_state_model(path, props, actions):
+        # A string where a list belongs used to be split into letters:
+        # actions "go" read as the two actions g and o, props "pq" as p, q.
+        document = {
+            "agents": ["a"],
+            "states": [{"id": "s", "props": props}],
+            "actions": {"s": {"a": actions}},
+            "transitions": {"s": [{"profile": {"a": act}, "to": "s"}
+                                  for act in "go"]},
+        }
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_string_actions_are_invalid_input(self, capsys, tmp_path):
+        model = self._one_state_model(tmp_path / "m.json", ["p"], "go")
+        code, out, err = run(capsys, "check", "--model", model,
+                             "--formula", "p", "--state", "s")
+        assert code == 2
+        assert out == ""
+        assert "actions of agent a at state s must be a JSON list" in err
+
+    def test_string_props_are_invalid_input(self, capsys, tmp_path):
+        model = self._one_state_model(tmp_path / "m.json", "pq", ["g", "o"])
+        code, out, err = run(capsys, "check", "--model", model,
+                             "--formula", "p", "--state", "s")
+        assert code == 2
+        assert out == ""
+        assert "props of state s must be a JSON list" in err
+
     def test_bounded_oracle_exits_three(self, capsys):
         code, out, _ = run(capsys, "oracle", "--corpus-case", "exampleA",
                            "--formula-name", "gammaA", "--mode", "play:3",

@@ -196,6 +196,12 @@ class TestSerialization:
         with pytest.raises(InvalidModelError, match="empty action set"):
             from_json_dict(data)
 
+    def test_string_agents_are_rejected(self):
+        data = example_a().model.to_json_dict()
+        data["agents"] = "ab"
+        with pytest.raises(InvalidModelError, match="agents must be a JSON list"):
+            from_json_dict(data)
+
     def test_invalid_json_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -17,6 +17,11 @@ keyed by its current class and that set. Refinement stops when the
 number of classes stops growing. A level costs one vector per profile
 over the 2^|Agt| coalitions, plus the ⊆-minimal filter over each
 state's distinct vectors.
+
+The blocks and their outcome sets come from a `models.Effectivity`
+index. Each public call builds its own, reads it at every level, and
+drops it when it returns; `hm_agreement` and `distinguishing_formula`
+share theirs with the evaluator they check formulas with.
 """
 
 from __future__ import annotations
@@ -28,72 +33,45 @@ from .checking import Evaluator
 from .formulas import (
     And,
     Coalition,
-    FALSE,
     GoalAssignment,
     Next,
     Not,
-    Or,
     Prop,
     StateFormula,
     TRUE,
     strategic,
 )
-from .models import ConcurrentGameModel, disjoint_union
-from .transforms import to_mu
+from .models import ConcurrentGameModel, Effectivity, disjoint_union
+from .transforms import disjoin, to_mu
 
 
-class _OutSets:
-    """Per-state, per-coalition outcome sets of every action block."""
-
-    def __init__(self, model: ConcurrentGameModel) -> None:
-        self.model = model
-        count = len(model.agents)
-        self.coalitions = [
-            tuple(indices)
-            for size in range(count + 1)
-            for indices in combinations(range(count), size)
-        ]
-        self._blocks: dict = {}
-        for state in model.states:
-            profiles = model.profiles(state)
-            for coalition in self.coalitions:
-                blocks: dict[tuple[str, ...], set[str]] = {}
-                for profile in profiles:
-                    restriction = tuple(profile[i] for i in coalition)
-                    blocks.setdefault(restriction, set()).add(
-                        model.out(state, profile)
-                    )
-                self._blocks[(state, coalition)] = blocks
-
-    def outcomes(
-        self, state: str, coalition: tuple[int, ...], profile: tuple[str, ...]
-    ) -> set[str]:
-        restriction = tuple(profile[i] for i in coalition)
-        return self._blocks[(state, coalition)][restriction]
+def _coalitions(model: ConcurrentGameModel) -> list[tuple[int, ...]]:
+    """Every coalition as agent positions, from empty to grand."""
+    count = len(model.agents)
+    return [
+        indices
+        for size in range(count + 1)
+        for indices in combinations(range(count), size)
+    ]
 
 
 def _block_rows(
-    outs: _OutSets, state: str
-) -> tuple[list[tuple[str, ...]], set[tuple[int, ...]]]:
+    index: Effectivity, state: str
+) -> tuple[list[frozenset[str]], set[tuple[int, ...]]]:
     """The state's action blocks, and each profile's row of block indices.
 
     A row holds one block per coalition, grand coalition first: its
     small blocks make the componentwise tests of `_minimal` fail early.
     Profiles that fall in the same blocks share one row.
     """
-    coalitions = outs.coalitions[::-1]
-    blocks: list[tuple[str, ...]] = []
-    index: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
-    for coalition in coalitions:
-        for restriction, outcomes in outs._blocks[(state, coalition)].items():
-            index[coalition, restriction] = len(blocks)
-            blocks.append(tuple(outcomes))
-    rows = {
-        tuple(index[coalition, tuple(profile[i] for i in coalition)]
-              for coalition in coalitions)
-        for profile in outs.model.profiles(state)
-    }
-    return blocks, rows
+    blocks: list[frozenset[str]] = []
+    columns = []
+    for coalition in _coalitions(index.model)[::-1]:
+        of_profile, outcomes, _ = index.blocks(state, coalition)
+        offset = len(blocks)
+        blocks.extend(outcomes)
+        columns.append([offset + block for block in of_profile])
+    return blocks, set(zip(*columns))
 
 
 def _minimal(vectors: set[tuple[int, ...]]) -> frozenset:
@@ -109,7 +87,7 @@ def _minimal(vectors: set[tuple[int, ...]]) -> frozenset:
 
 
 def _split(
-    rows: dict[str, tuple[list[tuple[str, ...]], set[tuple[int, ...]]]],
+    rows: dict[str, tuple[list[frozenset[str]], set[tuple[int, ...]]]],
     partition: dict[str, int],
 ) -> dict[str, int]:
     """One refinement step: key each state by class and minimal vectors."""
@@ -129,14 +107,14 @@ def _split(
     return refined
 
 
-def _partition_levels(outs: _OutSets) -> list[dict[str, int]]:
+def _partition_levels(index: Effectivity) -> list[dict[str, int]]:
     """Class ids per state, from atom equivalence to the fixpoint.
 
     Class ids are numbered in state order, so the first state of each
     class is its least member by position.
     """
-    model = outs.model
-    rows = {state: _block_rows(outs, state) for state in model.states}
+    model = index.model
+    rows = {state: _block_rows(index, state) for state in model.states}
     atoms: dict[frozenset[str], int] = {}
     levels = [
         {state: atoms.setdefault(model.props_at(state), len(atoms))
@@ -163,12 +141,12 @@ def _pairs(partition: dict[str, int]) -> frozenset:
 
 def greatest_bisimulation(model: ConcurrentGameModel) -> frozenset:
     """The largest bisimulation, as a symmetric set of state pairs."""
-    return _pairs(_partition_levels(_OutSets(model))[-1])
+    return _pairs(_partition_levels(Effectivity(model))[-1])
 
 
 def bisimulation_levels(model: ConcurrentGameModel) -> list[frozenset]:
     """The refinement sequence from atom equivalence to the fixpoint."""
-    return [_pairs(level) for level in _partition_levels(_OutSets(model))]
+    return [_pairs(level) for level in _partition_levels(Effectivity(model))]
 
 
 def are_bisimilar(
@@ -191,8 +169,8 @@ def hm_agreement(
     Returns every (state, state, formula) where a bisimilar pair
     disagrees; sound semantics yield an empty list.
     """
-    related = greatest_bisimulation(model)
     evaluator = Evaluator(model)
+    related = _pairs(_partition_levels(evaluator.effectivity)[-1])
     violations = []
     for phi in formulas:
         extension = evaluator.extension(to_mu(phi))
@@ -200,15 +178,6 @@ def hm_agreement(
             if s1 < s2 and (s1 in extension) != (s2 in extension):
                 violations.append((s1, s2, phi))
     return violations
-
-
-def _disjoin(parts: list[StateFormula]) -> StateFormula:
-    if not parts:
-        return FALSE
-    result = parts[0]
-    for part in parts[1:]:
-        result = Or(result, part)
-    return result
 
 
 def _conjoin(parts: list[StateFormula]) -> StateFormula:
@@ -223,10 +192,12 @@ def _conjoin(parts: list[StateFormula]) -> StateFormula:
 class _Characteristics:
     """Level-indexed characteristic formulas per refinement class."""
 
-    def __init__(self, model: ConcurrentGameModel) -> None:
+    def __init__(self, index: Effectivity) -> None:
+        model = index.model
         self.model = model
-        self.outs = _OutSets(model)
-        self.levels = _partition_levels(self.outs)
+        self.index = index
+        self.coalitions = _coalitions(model)
+        self.levels = _partition_levels(index)
         self.position = {state: i for i, state in enumerate(model.states)}
         self._representatives: list[dict[int, str]] = []
         for partition in self.levels:
@@ -235,10 +206,10 @@ class _Characteristics:
                 firsts.setdefault(partition[state], state)
             self._representatives.append(firsts)
         self._memo: dict[tuple[int, str], StateFormula] = {}
-        self._names = {
-            i: Coalition(model.agents[k] for k in indices)
-            for i, indices in enumerate(self.outs.coalitions)
-        }
+        self._names = [
+            Coalition(model.agents[k] for k in indices)
+            for indices in self.coalitions
+        ]
 
     def representative(self, level: int, state: str) -> str:
         """The least state by position in the class of `state`."""
@@ -264,16 +235,17 @@ class _Characteristics:
         if level == 0:
             return self._atoms(state)
         parts: list[StateFormula] = [self._atoms(state)]
-        for profile in self.model.profiles(state):
+        for position in range(len(self.model.profiles(state))):
             entries = []
-            for index, indices in enumerate(self.outs.coalitions):
-                outcomes = self.outs.outcomes(state, indices, profile)
+            for name, indices in zip(self._names, self.coalitions):
+                blocks = self.index.blocks(state, indices)
+                outcomes = blocks.outcomes[blocks.of_profile[position]]
                 reps = sorted(
                     {self.representative(level - 1, u) for u in outcomes},
                     key=self.position.__getitem__,
                 )
-                body = _disjoin([self.formula(level - 1, rep) for rep in reps])
-                entries.append((self._names[index], Next(body)))
+                body = disjoin([self.formula(level - 1, rep) for rep in reps])
+                entries.append((name, Next(body)))
             parts.append(strategic(GoalAssignment(entries)))
         return _conjoin(parts)
 
@@ -287,14 +259,14 @@ def distinguishing_formula(
     against the evaluator before being returned; None when the states
     are bisimilar.
     """
-    chars = _Characteristics(model)
+    evaluator = Evaluator(model)
+    chars = _Characteristics(evaluator.effectivity)
     if chars.levels[-1][s1] == chars.levels[-1][s2]:
         return None
     first_split = next(
         k for k, partition in enumerate(chars.levels)
         if partition[s1] != partition[s2]
     )
-    evaluator = Evaluator(model)
     for level in range(first_split, len(chars.levels)):
         for positive, negative in ((s1, s2), (s2, s1)):
             candidate = chars.formula(level, positive)

@@ -30,7 +30,7 @@ from .formulas import (
     free_vars,
     path_conjuncts,
 )
-from .models import ConcurrentGameModel
+from .models import ConcurrentGameModel, Effectivity
 from .transforms import to_mu
 
 
@@ -46,12 +46,15 @@ class Evaluator:
     """Evaluates fixpoint-dialect formulas on one model.
 
     Keeps a cache keyed by subformula and the bindings of its free
-    variables, and counts fixpoint iterations for reporting.
+    variables, owns the effectivity index its strategic steps read, and
+    counts fixpoint iterations for reporting. Both caches live as long
+    as the evaluator, so build one per query.
     """
 
     def __init__(self, model: ConcurrentGameModel) -> None:
         self.model = model
         self.iterations = 0
+        self.effectivity = Effectivity(model)
         self._all = frozenset(model.states)
         self._cache: dict = {}
         self._free: dict[StateFormula, frozenset[str]] = {}
@@ -126,8 +129,7 @@ class Evaluator:
         )
 
     def _strategic(self, assignment: GoalAssignment, env) -> frozenset[str]:
-        model = self.model
-        agent_index = {agent: i for i, agent in enumerate(model.agents)}
+        index = self.effectivity
         requirements = []
         for coalition, goal in assignment:
             target = self._all
@@ -138,29 +140,20 @@ class Evaluator:
                         % part
                     )
                 target &= self.extension(part.body, env)
-            indices = tuple(sorted(agent_index[a] for a in coalition))
-            requirements.append((indices, target))
+            requirements.append((index.positions(coalition), target))
 
-        result = set()
-        for state in model.states:
-            profiles = model.profiles(state)
-            block_ok_per_requirement = []
-            for indices, target in requirements:
-                block_ok: dict[tuple[str, ...], bool] = {}
-                for profile in profiles:
-                    restriction = tuple(profile[i] for i in indices)
-                    previous = block_ok.get(restriction, True)
-                    if previous and model.out(state, profile) not in target:
-                        previous = False
-                    block_ok[restriction] = previous
-                block_ok_per_requirement.append((indices, block_ok))
-            for profile in profiles:
-                if all(
-                    block_ok[tuple(profile[i] for i in indices)]
-                    for indices, block_ok in block_ok_per_requirement
-                ):
-                    result.add(state)
+        result = []
+        for state in self.model.states:
+            # Profile positions whose blocks meet every requirement so far.
+            candidates = range(len(self.model.profiles(state)))
+            for positions, target in requirements:
+                of_profile, outcomes, _ = index.blocks(state, positions)
+                ok = [outs <= target for outs in outcomes]
+                candidates = [p for p in candidates if ok[of_profile[p]]]
+                if not candidates:
                     break
+            if candidates:
+                result.append(state)
         return frozenset(result)
 
 

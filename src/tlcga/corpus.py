@@ -409,10 +409,20 @@ def sheep_wolves(
 def build_case(name: str, **params) -> CorpusCase:
     """Build a corpus case by registry name.
 
-    sheep-wolves takes n_sheep, n_wolves, and mode; the other names take
-    no parameters.
+    sheep-wolves takes n_sheep and n_wolves, optionally mode and limit;
+    the other names take no parameters. A bad name or value raises
+    ValueError naming the parameter.
     """
     if name == "sheep-wolves":
+        for key in (*params, "n_sheep", "n_wolves"):
+            if key not in ("n_sheep", "n_wolves", "mode", "limit"):
+                raise ValueError("sheep-wolves has no parameter %r" % key)
+            value = params.get(key)
+            if key != "mode" and not (isinstance(value, int) and value >= 0):
+                raise ValueError(
+                    "parameter %s must be a non-negative integer, got %r"
+                    % (key, value)
+                )
         return sheep_wolves(**params)
     builders = {
         "exampleA": example_a,

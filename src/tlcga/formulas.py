@@ -48,9 +48,6 @@ class StateFormula:
     def __or__(self, other: "StateFormula") -> "Or":
         return Or(self, other)
 
-    def implies(self, other: "StateFormula") -> "Implies":
-        return Implies(self, other)
-
 
 @dataclass(frozen=True)
 class PathFormula:

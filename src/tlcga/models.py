@@ -4,6 +4,8 @@ A model fixes a set of agents, a finite state space, a non-empty list of
 actions per state and agent, a total deterministic outcome function over
 action profiles, and a valuation of atomic propositions. Profiles are
 tuples aligned with the model's canonical (sorted) agent order.
+`Effectivity` indexes, for one query, each coalition's action blocks
+and their outcome sets.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class InvalidModelError(ValueError):
@@ -127,39 +129,22 @@ class ConcurrentGameModel:
     def profile_as_mapping(self, profile: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.agents, profile))
 
-    def agreeing_profiles(
-        self, state: str, coalition: Iterable[str], joint: Mapping[str, str]
-    ) -> tuple[tuple[str, ...], ...]:
-        """All full profiles at `state` that agree with `joint` on the coalition."""
-        members = frozenset(coalition)
-        for agent in members:
-            if agent not in joint:
-                raise InvalidModelError(
-                    "joint action misses coalition member %s" % agent
-                )
-            if joint[agent] not in self.actions_of(state, agent):
-                raise InvalidModelError(
-                    "action %s of agent %s unavailable at %s"
-                    % (joint[agent], agent, state)
-                )
-        return tuple(
-            profile
-            for profile in self.profiles(state)
-            if all(
-                action == joint[agent]
-                for agent, action in zip(self.agents, profile)
-                if agent in members
-            )
-        )
-
     def out_set(
         self, state: str, coalition: Iterable[str], joint: Mapping[str, str]
     ) -> frozenset[str]:
         """Outcomes of all profiles extending the coalition's joint action."""
-        return frozenset(
-            self.out(state, profile)
-            for profile in self.agreeing_profiles(state, coalition, joint)
-        )
+        members = sorted(set(coalition))
+        for agent in members:
+            if joint.get(agent) not in self.actions_of(state, agent):
+                raise InvalidModelError(
+                    "joint action %s of agent %s unavailable at %s"
+                    % (joint.get(agent), agent, state)
+                )
+        index = Effectivity(self)
+        blocks = index.blocks(state, index.positions(members))
+        return blocks.outcomes[
+            blocks.of_restriction[tuple(joint[agent] for agent in members)]
+        ]
 
     def validate(self) -> list[str]:
         """Well-formedness violations, as human-readable strings."""
@@ -310,17 +295,85 @@ class ConcurrentGameModel:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
+class Blocks(NamedTuple):
+    """One coalition's action blocks at one state; see `Effectivity`."""
+
+    of_profile: tuple[int, ...]
+    outcomes: tuple[frozenset[str], ...]
+    of_restriction: dict[tuple[str, ...], int]
+
+
+class Effectivity:
+    """The action blocks of a model's coalitions, built on first use.
+
+    A coalition (a tuple of agent positions in `model.agents`) splits a
+    state's profiles into blocks that agree on its actions. `blocks`
+    gives each profile's block (aligned with `profiles(state)`, numbered
+    by first appearance), each block's outcome set, and the block of
+    each joint action. The coalition can force a target set exactly when
+    one of its blocks has all its outcomes in the target.
+
+    An index lives for one query: an `Evaluator` owns one, and the
+    oracle, `atl_check` and each bisimulation call make their own. It is
+    not cached on the model, which would keep it alive with the model.
+    """
+
+    def __init__(self, model: ConcurrentGameModel) -> None:
+        self.model = model
+        self._agent_index = {agent: i for i, agent in enumerate(model.agents)}
+        self._blocks: dict[tuple[str, tuple[int, ...]], Blocks] = {}
+
+    def positions(self, coalition: Iterable[str]) -> tuple[int, ...]:
+        return tuple(sorted({self._agent_index[agent] for agent in coalition}))
+
+    def blocks(self, state: str, coalition: tuple[int, ...]) -> Blocks:
+        cached = self._blocks.get((state, coalition))
+        if cached is None:
+            profiles = self.model.profiles(state)
+            if len(coalition) == len(self.model.agents):
+                restrictions = profiles
+            else:
+                restrictions = [tuple([p[i] for i in coalition]) for p in profiles]
+            of_restriction: dict[tuple[str, ...], int] = {}
+            of_profile = tuple([
+                of_restriction.setdefault(restriction, len(of_restriction))
+                for restriction in restrictions
+            ])
+            outcomes: list[set[str]] = [set() for _ in of_restriction]
+            outcome = self.model.outcome
+            for block, profile in zip(of_profile, profiles):
+                # `out` is only reached for a missing outcome, and raises.
+                outcomes[block].add(
+                    outcome.get((state, profile)) or self.model.out(state, profile)
+                )
+            cached = self._blocks[(state, coalition)] = Blocks(
+                of_profile, tuple(map(frozenset, outcomes)), of_restriction
+            )
+        return cached
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (list or dict), else an error."""
+    if not isinstance(value, kind):
+        raise InvalidModelError(
+            "%s must be a JSON %s" % (what, "list" if kind is list else "object")
+        )
+    return value
+
+
 def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     """Build and fully check a model from the JSON document structure."""
     try:
         agents = data["agents"]
-        state_entries = list(data["states"])
+        state_entries = data["states"]
         actions = data["actions"]
         transitions = data["transitions"]
     except (KeyError, TypeError) as exc:
         raise InvalidModelError("missing model section: %s" % exc) from None
-    if not isinstance(agents, list):
-        raise InvalidModelError("agents must be a JSON list")
+    _expect(agents, list, "agents")
+    _expect(state_entries, list, "states")
+    _expect(actions, dict, "actions")
+    _expect(transitions, dict, "transitions")
     if not agents:
         raise InvalidModelError("model declares no agents")
     agent_order = tuple(sorted(agents))
@@ -328,13 +381,12 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     states = []
     valuation: dict[str, set[str]] = {}
     for entry in state_entries:
-        state = entry["id"]
+        state = _expect(entry, dict, "each entry of states").get("id")
+        if not isinstance(state, str):
+            raise InvalidModelError("state entry %s needs a string id" % entry)
         states.append(state)
         props = entry.get("props", [])
-        if not isinstance(props, list):
-            raise InvalidModelError(
-                "props of state %s must be a JSON list" % state
-            )
+        _expect(props, list, "props of state %s" % state)
         for prop in props:
             valuation.setdefault(prop, set()).add(state)
     state_set = set(states)
@@ -346,6 +398,7 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
         per_state = actions.get(state)
         if per_state is None:
             raise InvalidModelError("no actions declared for state %s" % state)
+        _expect(per_state, dict, "actions of state %s" % state)
         action_table[state] = {}
         for agent in agents:
             acts = per_state.get(agent)
@@ -353,11 +406,7 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
                 raise InvalidModelError(
                     "empty action set for agent %s at state %s" % (agent, state)
                 )
-            if not isinstance(acts, list):
-                raise InvalidModelError(
-                    "actions of agent %s at state %s must be a JSON list"
-                    % (agent, state)
-                )
+            _expect(acts, list, "actions of agent %s at state %s" % (agent, state))
             action_table[state][agent] = tuple(acts)
     unknown = set(actions) - state_set
     if unknown:
@@ -368,11 +417,15 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     for state in states:
         declared = transitions.get(state, [])
+        _expect(declared, list, "transitions of state %s" % state)
         expected = set(
             itertools.product(*(action_table[state][agent] for agent in agent_order))
         )
         for item in declared:
-            mapping = item["profile"]
+            what = "each transition of state %s" % state
+            if "to" not in _expect(item, dict, what):
+                raise InvalidModelError("transition at %s has no target" % state)
+            mapping = _expect(item.get("profile"), dict, "profile of " + what)
             missing = [agent for agent in agent_order if agent not in mapping]
             if missing:
                 raise InvalidModelError(

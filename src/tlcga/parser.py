@@ -40,7 +40,6 @@ from .formulas import (
     PathFormula,
     Prop,
     StateFormula,
-    Strategic,
     TRUE,
     Truth,
     Until,
@@ -75,6 +74,10 @@ class _Token:
 
 _END = "end of input"
 
+# Deepest nesting of operands accepted: printing, translating and
+# evaluating recurse per level and must stay within the recursion limit.
+MAX_NESTING = 64
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -104,6 +107,7 @@ class _Parser:
         self.index = 0
         self.dialect = dialect
         self.bound: list[str] = []
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -144,12 +148,20 @@ class _Parser:
 
     def parse_unary(self) -> StateFormula:
         token = self.peek()
+        self.nesting += 1  # every nested operand passes through here
+        if self.nesting > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nested deeper than %d levels" % MAX_NESTING, token.position
+            )
         if token.kind == "!":
             self.advance()
-            return Not(self.parse_unary())
-        if token.kind in ("mu", "nu"):
-            return self.parse_binder()
-        return self.parse_primary()
+            result = Not(self.parse_unary())
+        elif token.kind in ("mu", "nu"):
+            result = self.parse_binder()
+        else:
+            result = self.parse_primary()
+        self.nesting -= 1
+        return result
 
     def parse_binder(self) -> StateFormula:
         token = self.advance()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .checking import check, extension_of
+from .checking import Evaluator, check, extension_of
 from .formulas import (
     Coalition,
     GoalAssignment,
@@ -31,7 +31,7 @@ from .formulas import (
 )
 from .models import ConcurrentGameModel
 from .strategies import FiniteStrategyProfile, eval_on_lasso, play_lasso
-from .transforms import conjoin
+from .transforms import conjoin, negate
 
 
 class GoalNegationError(ValueError):
@@ -59,16 +59,10 @@ def negate_goal(goal: PathFormula) -> PathFormula:
         )
     single = parts[0]
     if isinstance(single, Next):
-        return Next(_negate_state(single.body))
+        return Next(negate(single.body))
     if isinstance(single, Globally):
-        return Until(TRUE, _negate_state(single.body))
+        return Until(TRUE, negate(single.body))
     raise GoalNegationError("negating an until goal is inexpressible: %s" % goal)
-
-
-def _negate_state(phi: StateFormula) -> StateFormula:
-    if isinstance(phi, Not):
-        return phi.body
-    return Not(phi)
 
 
 def merge_goals(goals) -> PathFormula:
@@ -114,10 +108,11 @@ def partition_outcomes(
 ) -> OutcomePartition:
     """Evaluate every supported goal on the profile's induced play."""
     lasso = play_lasso(model, state, profile)
+    evaluator = Evaluator(model)
     winning = []
     losing = []
     for coalition, goal in assignment:
-        if eval_on_lasso(model, lasso, goal):
+        if eval_on_lasso(evaluator, lasso, goal):
             winning.append(coalition)
         else:
             losing.append(coalition)
@@ -338,6 +333,7 @@ def _first_step_improves(model, state, profile, agent, goal) -> bool:
 
 
 def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
+    evaluator = Evaluator(model)
     choice_sets = [model.actions_of(s, agent) for s in model.states]
     for choices in product(*choice_sets):
         tables = dict(profile.tables)
@@ -346,6 +342,6 @@ def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
         }
         candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
         lasso = play_lasso(model, state, candidate)
-        if eval_on_lasso(model, lasso, goal):
+        if eval_on_lasso(evaluator, lasso, goal):
             return True
     return False

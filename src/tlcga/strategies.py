@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .checking import extension_of
+from .checking import Evaluator
 from .formulas import (
     GoalAssignment,
     Globally,
@@ -23,7 +23,8 @@ from .formulas import (
     Until,
     path_conjuncts,
 )
-from .models import ConcurrentGameModel
+from .models import ConcurrentGameModel, Effectivity
+from .transforms import to_mu
 
 
 class PartialStrategyError(ValueError):
@@ -184,12 +185,14 @@ def profile_from_json_dict(data) -> FiniteStrategyProfile:
 
 def _goal_extensions(
     model: ConcurrentGameModel, assignment: GoalAssignment
-) -> dict[StateFormula, frozenset[str]]:
+) -> tuple[dict[StateFormula, frozenset[str]], Effectivity]:
+    """The goals' state subformula extensions, and the query's index."""
+    evaluator = Evaluator(model)
     extensions: dict[StateFormula, frozenset[str]] = {}
 
     def record(phi: StateFormula) -> None:
         if phi not in extensions:
-            extensions[phi] = extension_of(model, phi)
+            extensions[phi] = evaluator.extension(to_mu(phi))
 
     for _, goal in assignment:
         for part in path_conjuncts(goal):
@@ -200,11 +203,11 @@ def _goal_extensions(
                 record(part.right)
             elif isinstance(part, Globally):
                 record(part.body)
-    return extensions
+    return extensions, evaluator.effectivity
 
 
 def _coalition_closure(
-    model: ConcurrentGameModel,
+    index: Effectivity,
     start: str,
     mode: MemoryMode,
     coalition: Iterable[str],
@@ -215,7 +218,9 @@ def _coalition_closure(
     Returns (nodes in first-seen order, edges as node -> ordered
     targets). Raises whatever `lookup` raises on a missing entry.
     """
+    model = index.model
     members = sorted(coalition)
+    positions = None
     root = initial_memory(start)
     order = [root]
     edges: dict[tuple, list[tuple]] = {}
@@ -224,7 +229,7 @@ def _coalition_closure(
     while queue:
         memory = queue.pop(0)
         state = memory_state(memory)
-        joint = {}
+        joint = []
         for agent in members:
             action = lookup(agent, memory)
             if action not in model.actions_of(state, agent):
@@ -232,9 +237,16 @@ def _coalition_closure(
                     "action %s of agent %s unavailable at %s"
                     % (action, agent, state)
                 )
-            joint[agent] = action
+            joint.append(action)
+        if positions is None:
+            # Only now is every member known to be an agent of the model.
+            positions = index.positions(members)
+        of_profile, _, of_restriction = index.blocks(state, positions)
+        block = of_restriction[tuple(joint)]
         targets = []
-        for profile in model.agreeing_profiles(state, members, joint):
+        for profile, in_block in zip(model.profiles(state), of_profile):
+            if in_block != block:
+                continue
             target = update_memory(
                 mode, memory, profile, model.out(state, profile)
             )
@@ -310,14 +322,14 @@ def verify_witness(
     while everyone else ranges over all actions; the goal must hold on
     every play of that restricted system.
     """
-    extensions = _goal_extensions(model, assignment)
-    return _verify(model, state, profile.mode, profile.action, assignment, extensions)
+    extensions, index = _goal_extensions(model, assignment)
+    return _verify(index, state, profile.mode, profile.action, assignment, extensions)
 
 
-def _verify(model, state, mode, lookup, assignment, extensions):
+def _verify(index, state, mode, lookup, assignment, extensions):
     failures: list[str] = []
     for coalition, goal in assignment:
-        order, edges = _coalition_closure(model, state, mode, coalition, lookup)
+        order, edges = _coalition_closure(index, state, mode, coalition, lookup)
         root = initial_memory(state)
         for failure in _check_goal_on_product(goal, root, order, edges, extensions):
             failures.append("coalition %s: %s" % (coalition, failure))
@@ -361,7 +373,7 @@ def find_witness(
     """
     if not model.has_state(state):
         raise ValueError("unknown state %s" % state)
-    extensions = _goal_extensions(model, assignment)
+    extensions, index = _goal_extensions(model, assignment)
     support = assignment.support()
     agents_involved = sorted({a for c in support for a in c})
     decisions: dict[tuple[str, tuple], str] = {}
@@ -380,7 +392,7 @@ def find_witness(
     def first_missing():
         for coalition in support:
             try:
-                _coalition_closure(model, state, mode, coalition, lookup)
+                _coalition_closure(index, state, mode, coalition, lookup)
             except _MissingEntry as missing:
                 return missing
         return None
@@ -388,7 +400,7 @@ def find_witness(
     def assemble() -> FiniteStrategyProfile:
         tables: dict[str, dict[tuple, str]] = {a: {} for a in agents_involved}
         for coalition in support:
-            order, _ = _coalition_closure(model, state, mode, coalition, lookup)
+            order, _ = _coalition_closure(index, state, mode, coalition, lookup)
             for memory in order:
                 for agent in sorted(coalition):
                     tables[agent].setdefault(memory, lookup(agent, memory))
@@ -404,7 +416,7 @@ def find_witness(
         if missing is None:
             candidate = assemble()
             ok, _ = _verify(
-                model, state, mode, candidate.action, assignment, extensions
+                index, state, mode, candidate.action, assignment, extensions
             )
             return candidate if ok else None
         key = (missing.agent, missing.memory)
@@ -464,15 +476,14 @@ def play_lasso(
     return Lasso(tuple(states), tuple(profiles), visited[memory])
 
 
-def eval_on_lasso(
-    model: ConcurrentGameModel, lasso: Lasso, goal: PathFormula
-) -> bool:
-    """Truth of a path goal on the ultimately periodic play."""
+def eval_on_lasso(evaluator: Evaluator, lasso: Lasso, goal: PathFormula) -> bool:
+    """Truth of a path goal on the ultimately periodic play of the
+    evaluator's model."""
     cache: dict[StateFormula, frozenset[str]] = {}
 
     def holds(phi: StateFormula, position: int) -> bool:
         if phi not in cache:
-            cache[phi] = extension_of(model, phi)
+            cache[phi] = evaluator.extension(to_mu(phi))
         return lasso.state_at(position) in cache[phi]
 
     horizon = len(lasso.states)
@@ -496,29 +507,6 @@ def eval_on_lasso(
     return True
 
 
-def atl_force(
-    model: ConcurrentGameModel,
-    coalition: Iterable[str],
-    targets: frozenset[str],
-) -> frozenset[str]:
-    """States where the coalition has a one-step action into `targets`."""
-    members = frozenset(coalition)
-    agent_index = {a: i for i, a in enumerate(model.agents)}
-    indices = tuple(sorted(agent_index[a] for a in members))
-    result = set()
-    for state in model.states:
-        block_ok: dict[tuple[str, ...], bool] = {}
-        for profile in model.profiles(state):
-            restriction = tuple(profile[i] for i in indices)
-            previous = block_ok.get(restriction, True)
-            if previous and model.out(state, profile) not in targets:
-                previous = False
-            block_ok[restriction] = previous
-        if any(block_ok.values()):
-            result.add(state)
-    return frozenset(result)
-
-
 def atl_check(
     model: ConcurrentGameModel,
     coalition: Iterable[str],
@@ -529,22 +517,33 @@ def atl_check(
     Uses the effectivity fixpoints directly, independent of the
     translation pipeline; conjunction goals are not supported here.
     """
+    evaluator = Evaluator(model)
+    index = evaluator.effectivity
+    positions = index.positions(coalition)
+
+    def force(targets: frozenset[str]) -> frozenset[str]:
+        """States where the coalition has a one-step action into `targets`."""
+        return frozenset(
+            state for state in model.states
+            if any(outs <= targets for outs in index.blocks(state, positions).outcomes)
+        )
+
     if isinstance(goal, Next):
-        return atl_force(model, coalition, extension_of(model, goal.body))
+        return force(evaluator.extension(to_mu(goal.body)))
     if isinstance(goal, Until):
-        left = extension_of(model, goal.left)
-        right = extension_of(model, goal.right)
+        left = evaluator.extension(to_mu(goal.left))
+        right = evaluator.extension(to_mu(goal.right))
         current: frozenset[str] = frozenset()
         while True:
-            updated = right | (left & atl_force(model, coalition, current))
+            updated = right | (left & force(current))
             if updated == current:
                 return current
             current = updated
     if isinstance(goal, Globally):
-        body = extension_of(model, goal.body)
+        body = evaluator.extension(to_mu(goal.body))
         current = frozenset(model.states)
         while True:
-            updated = body & atl_force(model, coalition, current)
+            updated = body & force(current)
             if updated == current:
                 return current
             current = updated

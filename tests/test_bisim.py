@@ -1,9 +1,10 @@
 """Bisimulation computation, invariance, and distinguishing formulas."""
 
+from itertools import combinations
+
 import pytest
 
 from tlcga.bisim import (
-    _OutSets,
     are_bisimilar,
     bisimulation_levels,
     distinguishing_formula,
@@ -16,8 +17,14 @@ from tlcga.corpus import (
     example_a,
     example_b,
     example_b_gamma_prime,
+    sheep_wolves,
 )
-from tlcga.models import ConcurrentGameModel, disjoint_union
+from tlcga.models import (
+    ConcurrentGameModel,
+    Effectivity,
+    InvalidModelError,
+    disjoint_union,
+)
 from tlcga.parser import parse_state_formula
 from tlcga.sampling import make_rng, random_model
 
@@ -26,7 +33,39 @@ from tlcga.sampling import make_rng, random_model
 # independent reference. A pair stays related when every profile of
 # either state is answered by a profile of the other whose blocks reach,
 # coalition by coalition, only states related to some outcome of the
-# challenger's block.
+# challenger's block. Block outcomes come from a plain filter over the
+# profiles, not from the effectivity index the library uses.
+
+def agreeing_outcomes(model, state, coalition, profile):
+    """Outcomes of the profiles that agree with `profile` on `coalition`."""
+    return frozenset(
+        model.out(state, other)
+        for other in model.profiles(state)
+        if all(other[i] == profile[i] for i in coalition)
+    )
+
+
+class _ReferenceOutSets:
+    def __init__(self, model):
+        self.model = model
+        count = len(model.agents)
+        self.coalitions = [
+            indices
+            for size in range(count + 1)
+            for indices in combinations(range(count), size)
+        ]
+        self._outcomes = {
+            (state, coalition, profile): agreeing_outcomes(
+                model, state, coalition, profile
+            )
+            for state in model.states
+            for coalition in self.coalitions
+            for profile in model.profiles(state)
+        }
+
+    def outcomes(self, state, coalition, profile):
+        return self._outcomes[(state, coalition, profile)]
+
 
 def _covers(outs, big_state, big_profile, small_state, small_profile, related):
     for coalition in outs.coalitions:
@@ -57,7 +96,7 @@ def _refine(outs, related):
 
 def reference_levels(model):
     """Pair-set refinement from atom equivalence to the fixpoint."""
-    outs = _OutSets(model)
+    outs = _ReferenceOutSets(model)
     levels = [frozenset(
         (s1, s2)
         for s1 in model.states
@@ -390,3 +429,96 @@ class TestAgreesWithPairwiseReference:
             self._agree(
                 random_model(rng, max_states=6, max_agents=3, max_actions=3)
             )
+
+
+def duplicated_action():
+    """An agent lists one action twice; the loader does not reject it.
+
+    Actions are listed out of sorted order, so numbering blocks by
+    first appearance and by sorted restriction differ.
+    """
+    return ConcurrentGameModel(
+        agents=["a", "b"],
+        states=["u", "v"],
+        actions={
+            "u": {"a": ["y", "x", "y"], "b": ["r", "l"]},
+            "v": {"a": ["x"], "b": ["l"]},
+        },
+        outcome={
+            ("u", ("x", "l")): "u",
+            ("u", ("x", "r")): "v",
+            ("u", ("y", "l")): "v",
+            ("u", ("y", "r")): "v",
+            ("v", ("x", "l")): "u",
+        },
+        valuation={"p": ["v"]},
+    )
+
+
+class TestEffectivityAgreesWithFilter:
+    """The effectivity index gives the blocks the plain filter gives."""
+
+    @staticmethod
+    def _agree(model):
+        index = Effectivity(model)
+        coalitions = _ReferenceOutSets(model).coalitions
+        assert coalitions[0] == () and len(coalitions[-1]) == len(model.agents)
+        for state in model.states:
+            profiles = model.profiles(state)
+            for coalition in coalitions:
+                blocks = index.blocks(state, coalition)
+                assert len(blocks.of_profile) == len(profiles)
+                assert len(blocks.outcomes) == len(blocks.of_restriction)
+                first_seen = list(dict.fromkeys(blocks.of_profile))
+                assert first_seen == list(range(len(blocks.outcomes)))
+                for profile, block in zip(profiles, blocks.of_profile):
+                    restriction = tuple(profile[i] for i in coalition)
+                    assert blocks.of_restriction[restriction] == block
+                    assert blocks.outcomes[block] == agreeing_outcomes(
+                        model, state, coalition, profile
+                    )
+                names = [model.agents[i] for i in coalition]
+                for restriction, block in blocks.of_restriction.items():
+                    joint = dict(zip(names, restriction))
+                    assert model.out_set(state, names, joint) == (
+                        blocks.outcomes[block]
+                    )
+
+    @pytest.mark.parametrize(
+        "case", default_cases(), ids=lambda case: case.name
+    )
+    def test_default_cases(self, case):
+        self._agree(case.model)
+
+    def test_river_crossing(self):
+        self._agree(sheep_wolves(2, 2, "wolves_then_sheep").model)
+
+    def test_duplicated_action(self):
+        model = duplicated_action()
+        self._agree(model)
+        index = Effectivity(model)
+        assert index.blocks("u", (0, 1)).of_profile == (0, 1, 2, 3, 0, 1)
+        assert index.blocks("u", (0,)).of_profile == (0, 0, 1, 1, 0, 0)
+        assert index.blocks("u", (1,)).of_restriction == {("r",): 0, ("l",): 1}
+
+    def test_random_models(self):
+        rng = make_rng(4421)
+        for _ in range(150):
+            self._agree(
+                random_model(rng, max_states=5, max_agents=3, max_actions=3)
+            )
+
+    def test_partial_outcome_keeps_the_typed_error(self):
+        model = ConcurrentGameModel(
+            agents=["a"],
+            states=["s"],
+            actions={"s": {"a": ["x", "y"]}},
+            outcome={("s", ("x",)): "s"},
+            valuation={},
+        )
+        with pytest.raises(
+            InvalidModelError, match=r"no outcome at s for profile \(a=y\)"
+        ):
+            Effectivity(model).blocks("s", ())
+        with pytest.raises(InvalidModelError, match="no outcome at s"):
+            check(model, "s", parse_state_formula("<< {a} -> X !p >>"))

@@ -95,6 +95,13 @@ class TestExitCodes:
                          "--formula", "<< {a} ->", "--state", "s")
         assert code == 2
 
+    def test_deep_formula_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "check", "--corpus-case", "exampleA",
+                             "--formula", "!" * 5000 + "p", "--state", "s")
+        assert code == 2
+        assert out == ""
+        assert "syntax error at position 64: formula nested deeper" in err
+
     @staticmethod
     def _one_state_model(path, props, actions):
         # A string where a list belongs used to be split into letters:
@@ -124,6 +131,34 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "props of state s must be a JSON list" in err
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("states", ["s"], "each entry of states must be a JSON object"),
+            (
+                "transitions",
+                {"s": {"profile": {"a": "go"}, "to": "s"}},
+                "transitions of state s must be a JSON list",
+            ),
+            ("actions", [{"s": {"a": ["go"]}}], "actions must be a JSON object"),
+        ],
+        ids=["state-as-string", "transitions-as-object", "actions-as-list"],
+    )
+    def test_wrong_json_shapes_are_invalid_input(
+        self, capsys, tmp_path, section, value, message
+    ):
+        path = tmp_path / "m.json"
+        self._one_state_model(path, ["p"], ["g", "o"])
+        document = json.loads(path.read_text())
+        document[section] = value
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "check", "--model", str(path),
+                             "--formula", "p", "--state", "s")
+        assert code == 2
+        assert out == ""
+        assert "invalid input: %s" % message in err
+        assert "Traceback" not in err
 
     def test_bounded_oracle_exits_three(self, capsys):
         code, out, _ = run(capsys, "oracle", "--corpus-case", "exampleA",
@@ -392,6 +427,31 @@ class TestCorpus:
                          "--params", "n_sheep=2,n_wolves=2,mode=simultaneous")
         assert code == 0
         assert load_model(tmp_path / "model.json").has_state("s2w2L")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("bogus=3", "sheep-wolves has no parameter 'bogus'"),
+            (
+                "n_sheep=-1,n_wolves=1",
+                "parameter n_sheep must be a non-negative integer, got '-1'",
+            ),
+            (
+                "n_sheep=1,n_wolves=x",
+                "parameter n_wolves must be a non-negative integer, got 'x'",
+            ),
+            (
+                "n_sheep=2",
+                "parameter n_wolves must be a non-negative integer, got None",
+            ),
+        ],
+    )
+    def test_bad_params_are_invalid_input(self, capsys, params, message):
+        code, out, err = run(capsys, "check", "--corpus-case", "sheep-wolves",
+                             "--params", params, "--formula-name", "crossing")
+        assert code == 2
+        assert out == ""
+        assert "invalid input: %s" % message in err
 
     def test_unknown_case_is_invalid_input(self, capsys, tmp_path):
         assert run(capsys, "corpus", "--build", "nonsense",

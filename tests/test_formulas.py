@@ -36,6 +36,7 @@ from tlcga import (
     split_long_term_and_next,
     strategic,
 )
+from tlcga.parser import MAX_NESTING
 
 P = Prop("p")
 Q = Prop("q")
@@ -115,6 +116,21 @@ class TestParsing:
             parse_state_formula("mu z . !z", dialect="mu")
         with pytest.raises(FormulaSyntaxError):
             parse_state_formula("mu z . z -> p", dialect="mu")
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "!" * n + "p",
+            lambda n: "(" * n + "p" + ")" * n,
+            lambda n: "<< {a} -> X " * n + "p" + " >>" * n,
+        ],
+        ids=["negation", "brackets", "strategic"],
+    )
+    def test_nesting_is_bounded(self, nest):
+        assert parse_state_formula(nest(MAX_NESTING - 1))
+        for depth in (MAX_NESTING, 5000):
+            with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+                parse_state_formula(nest(depth))
 
     def test_empty_coalition_accepted(self):
         phi = parse_state_formula("<< {} -> X p >>")

@@ -2,8 +2,14 @@
 
 import pytest
 
-from tlcga.checking import check, extension_of
-from tlcga.corpus import example_a, example_b, example_b_gamma_prime, password
+from tlcga.checking import Evaluator, check, extension_of
+from tlcga.corpus import (
+    build_case,
+    example_a,
+    example_b,
+    example_b_gamma_prime,
+    password,
+)
 from tlcga.formulas import Globally, Next, Prop, Strategic, Until
 from tlcga.parser import parse_path_formula, parse_state_formula
 from tlcga.strategies import (
@@ -198,6 +204,34 @@ class TestFindWitness:
         assert first.witness == second.witness
         assert first.explored == second.explored
 
+    @pytest.mark.parametrize(
+        "name, formula, mode, outcome, explored",
+        [
+            ("exampleA", "gammaA", "positional", "none (exact)", 3),
+            ("exampleA", "gammaA", "path:3", "witness", 5),
+            ("exampleA", "gammaA", "play:3", "witness", 5),
+            ("exampleB", "gammaB", "path:2", "none (exact)", 15),
+            ("exampleB", "gammaB", "play:2", "witness", 6),
+            ("exampleB-gamma-prime", "gammaBprime", "path:2", "witness", 4),
+            ("password", "exchange", "positional", "witness", 5),
+            ("password", "protective", "positional", "none (exact)", 97),
+        ],
+    )
+    def test_corpus_queries_keep_their_outcome_and_search_size(
+        self, name, formula, mode, outcome, explored
+    ):
+        case = build_case(name)
+        (query,) = [
+            q for q in case.oracle_queries
+            if (q.formula, q.mode) == (formula, mode)
+        ]
+        assert query.outcome == outcome
+        result = find_witness(
+            case.model, query.state, assignment_of(case, formula),
+            parse_memory_mode(mode),
+        )
+        assert (result.outcome, result.explored) == (outcome, explored)
+
     def test_step_budget_reports_bounded_absence(self):
         case = example_b()
         gamma = assignment_of(case, "gammaB")
@@ -270,12 +304,13 @@ class TestInducedPlay:
             },
         )
         lasso = play_lasso(case.model, "s", profile)
-        assert eval_on_lasso(case.model, lasso, parse_path_formula("(p U q)"))
-        assert eval_on_lasso(case.model, lasso, parse_path_formula("X q"))
-        assert not eval_on_lasso(case.model, lasso, parse_path_formula("G p"))
-        assert eval_on_lasso(case.model, lasso, parse_path_formula("G (p | q)"))
+        evaluator = Evaluator(case.model)
+        assert eval_on_lasso(evaluator, lasso, parse_path_formula("(p U q)"))
+        assert eval_on_lasso(evaluator, lasso, parse_path_formula("X q"))
+        assert not eval_on_lasso(evaluator, lasso, parse_path_formula("G p"))
+        assert eval_on_lasso(evaluator, lasso, parse_path_formula("G (p | q)"))
         assert not eval_on_lasso(
-            case.model, lasso, parse_path_formula("(true U !(p | q))")
+            evaluator, lasso, parse_path_formula("(true U !(p | q))")
         )
 
     def test_memoryful_lassos_unroll_before_looping(self):
@@ -299,7 +334,7 @@ class TestInducedPlay:
         lasso = play_lasso(case.model, "s", profile)
         assert lasso.states[:4] == ("s", "s1", "s", "s2")
         assert eval_on_lasso(
-            case.model, lasso, parse_path_formula("(true U !(p | q))")
+            Evaluator(case.model), lasso, parse_path_formula("(true U !(p | q))")
         )
 
 

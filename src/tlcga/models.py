@@ -147,8 +147,10 @@ class ConcurrentGameModel:
         ]
 
     def validate(self) -> list[str]:
-        """Well-formedness violations, as human-readable strings."""
+        """Well-formedness violations: the model rules `from_json_dict` enforces."""
         problems: list[str] = []
+        if not self.agents:
+            problems.append("model declares no agents")
         if not self.states:
             problems.append("model has no states")
         for state in self.states:
@@ -162,14 +164,11 @@ class ConcurrentGameModel:
                     problems.append(
                         "duplicate actions for agent %s at state %s" % (agent, state)
                     )
-        for state in self.states:
-            if any(not self.actions_of(state, agent) for agent in self.agents):
-                continue
             for profile in self.profiles(state):
                 target = self.outcome.get((state, profile))
                 if target is None:
                     problems.append(
-                        "outcome not total: state %s has no transition for %s"
+                        "outcome not total: no transition at %s for profile %s"
                         % (state, format_profile(self.agents, profile))
                     )
                 elif target not in self._state_set:
@@ -177,11 +176,11 @@ class ConcurrentGameModel:
                         "transition from %s via %s targets unknown state %s"
                         % (state, format_profile(self.agents, profile), target)
                     )
-        for (state, profile), target in sorted(self.outcome.items()):
-            if state not in self._state_set:
+        available = {state: set(self.profiles(state)) for state in self.states}
+        for state, profile in self.outcome:
+            if state not in available:
                 problems.append("transition from unknown state %s" % state)
-                continue
-            if profile not in set(self.profiles(state)):
+            elif profile not in available[state]:
                 problems.append(
                     "transition from %s uses unavailable profile %s"
                     % (state, format_profile(self.agents, profile))
@@ -352,17 +351,30 @@ class Effectivity:
         return cached
 
 
+_JSON_TYPES = {list: "list", dict: "object", str: "string"}
+
+
 def _expect(value, kind: type, what: str):
-    """`value` if it has the JSON type `kind` (list or dict), else an error."""
+    """`value` if it has the JSON type `kind` (list, dict or str), else an error."""
     if not isinstance(value, kind):
-        raise InvalidModelError(
-            "%s must be a JSON %s" % (what, "list" if kind is list else "object")
-        )
+        raise InvalidModelError("%s must be a JSON %s" % (what, _JSON_TYPES[kind]))
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    """`value` if it is a JSON list of strings, else an error."""
+    if not all(isinstance(name, str) for name in _expect(value, list, what)):
+        raise InvalidModelError("each entry of %s must be a JSON string" % what)
     return value
 
 
 def from_json_dict(data: Mapping) -> ConcurrentGameModel:
-    """Build and fully check a model from the JSON document structure."""
+    """Decode a model document; raise the first problem `validate()` finds.
+
+    Decoding checks only the document's shape: JSON types, string names,
+    profiles over exactly the declared agents, no transition given twice,
+    and no actions or transitions for an unknown state.
+    """
     try:
         agents = data["agents"]
         state_entries = data["states"]
@@ -370,13 +382,11 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
         transitions = data["transitions"]
     except (KeyError, TypeError) as exc:
         raise InvalidModelError("missing model section: %s" % exc) from None
-    _expect(agents, list, "agents")
+    _names(agents, "agents")
     _expect(state_entries, list, "states")
     _expect(actions, dict, "actions")
     _expect(transitions, dict, "transitions")
-    if not agents:
-        raise InvalidModelError("model declares no agents")
-    agent_order = tuple(sorted(agents))
+    agent_order, agent_set = tuple(sorted(agents)), set(agents)
 
     states = []
     valuation: dict[str, set[str]] = {}
@@ -385,90 +395,56 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
         if not isinstance(state, str):
             raise InvalidModelError("state entry %s needs a string id" % entry)
         states.append(state)
-        props = entry.get("props", [])
-        _expect(props, list, "props of state %s" % state)
-        for prop in props:
+        for prop in _names(entry.get("props", []), "props of state %s" % state):
             valuation.setdefault(prop, set()).add(state)
-    state_set = set(states)
-    if len(state_set) != len(states):
-        raise InvalidModelError("duplicate state ids")
+    for section, table in (("actions", actions), ("transitions", transitions)):
+        unknown = set(table) - set(states)
+        if unknown:
+            raise InvalidModelError(
+                "%s declared for unknown state %s" % (section, min(unknown))
+            )
 
-    action_table: dict[str, dict[str, tuple[str, ...]]] = {}
-    for state in states:
-        per_state = actions.get(state)
-        if per_state is None:
-            raise InvalidModelError("no actions declared for state %s" % state)
+    action_table: dict[str, dict[str, list[str]]] = {}
+    for state, per_state in actions.items():
         _expect(per_state, dict, "actions of state %s" % state)
-        action_table[state] = {}
-        for agent in agents:
-            acts = per_state.get(agent)
-            if not acts:
-                raise InvalidModelError(
-                    "empty action set for agent %s at state %s" % (agent, state)
-                )
-            _expect(acts, list, "actions of agent %s at state %s" % (agent, state))
-            action_table[state][agent] = tuple(acts)
-    unknown = set(actions) - state_set
-    if unknown:
-        raise InvalidModelError(
-            "actions declared for unknown state %s" % sorted(unknown)[0]
-        )
-
+        action_table[state] = {
+            agent: _names(
+                per_state[agent], "actions of agent %s at state %s" % (agent, state)
+            )
+            for agent in agents
+            if agent in per_state
+        }
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
-    for state in states:
-        declared = transitions.get(state, [])
-        _expect(declared, list, "transitions of state %s" % state)
-        expected = set(
-            itertools.product(*(action_table[state][agent] for agent in agent_order))
-        )
-        for item in declared:
-            what = "each transition of state %s" % state
+    for state, declared in transitions.items():
+        what = "each transition of state %s" % state
+        for item in _expect(declared, list, "transitions of state %s" % state):
             if "to" not in _expect(item, dict, what):
                 raise InvalidModelError("transition at %s has no target" % state)
             mapping = _expect(item.get("profile"), dict, "profile of " + what)
-            missing = [agent for agent in agent_order if agent not in mapping]
-            if missing:
+            if mapping.keys() != agent_set:
+                missing = agent_set - mapping.keys()
+                fault = "omits agent" if missing else "names unknown agent"
+                agent = min(missing or mapping.keys() - agent_set)
                 raise InvalidModelError(
-                    "transition at %s omits agent %s" % (state, missing[0])
+                    "transition at %s %s %s" % (state, fault, agent)
                 )
-            extra = set(mapping) - set(agent_order)
-            if extra:
+            profile = tuple([mapping[agent] for agent in agent_order])
+            if not all(isinstance(action, str) for action in profile):
                 raise InvalidModelError(
-                    "transition at %s names unknown agent %s"
-                    % (state, sorted(extra)[0])
-                )
-            profile = tuple(mapping[agent] for agent in agent_order)
-            if profile not in expected:
-                raise InvalidModelError(
-                    "transition at %s uses unavailable profile %s"
-                    % (state, format_profile(agent_order, profile))
+                    "each action in the profile of %s must be a JSON string" % what
                 )
             if (state, profile) in outcome:
                 raise InvalidModelError(
                     "duplicate transition at %s for profile %s"
                     % (state, format_profile(agent_order, profile))
                 )
-            target = item["to"]
-            if target not in state_set:
-                raise InvalidModelError(
-                    "transition from %s targets unknown state %s" % (state, target)
-                )
-            outcome[(state, profile)] = target
-        missing_profiles = expected - {
-            profile for (st, profile) in outcome if st == state
-        }
-        if missing_profiles:
-            raise InvalidModelError(
-                "no transition at %s for profile %s"
-                % (state, format_profile(agent_order, min(missing_profiles)))
-            )
-    unknown = set(transitions) - state_set
-    if unknown:
-        raise InvalidModelError(
-            "transitions declared for unknown state %s" % sorted(unknown)[0]
-        )
+            outcome[(state, profile)] = _expect(item["to"], str, "target of " + what)
 
-    return ConcurrentGameModel(agents, states, action_table, outcome, valuation)
+    model = ConcurrentGameModel(agents, states, action_table, outcome, valuation)
+    problems = model.validate()
+    if problems:
+        raise InvalidModelError(problems[0])
+    return model
 
 
 def load_model(path: str) -> ConcurrentGameModel:

@@ -21,6 +21,7 @@ an enclosing binder.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,10 @@ class _Token:
 
 _END = "end of input"
 
+# How a chain of operands folds into a tree; `->` folds them reversed.
+_CONNECTIVES = {"|": Or, "&": And, "&&": PathAnd,
+                "->": lambda right, left: Implies(left, right)}
+
 # Deepest nesting of operands accepted: printing, translating and
 # evaluating recurse per level and must stay within the recursion limit.
 MAX_NESTING = 64
@@ -107,7 +112,8 @@ class _Parser:
         self.index = 0
         self.dialect = dialect
         self.bound: list[str] = []
-        self.nesting = 0
+        self.nesting = 0  # depth of the operand being parsed
+        self.deepest = 0  # deepest level reached: parse_chain's operand heights
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -126,29 +132,54 @@ class _Parser:
         return self.advance()
 
     def parse_state(self) -> StateFormula:
-        left = self.parse_or()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.parse_state())
-        return left
+        return self.parse_chain(self.parse_or, "->")
 
     def parse_or(self) -> StateFormula:
-        left = self.parse_and()
-        while self.peek().kind == "|":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
+        return self.parse_chain(self.parse_and, "|")
 
     def parse_and(self) -> StateFormula:
-        left = self.parse_unary()
-        while self.peek().kind == "&":
-            self.advance()
-            left = And(left, self.parse_unary())
-        return left
+        return self.parse_chain(self.parse_unary, "&")
+
+    def parse_chain(self, operand, op: str):
+        """Parse `operand (op operand)*`; `->` nests to the right, the rest left.
+
+        Each connective is a tree level; the chain's height is held to MAX_NESTING.
+        """
+        start, outer = self.peek().position, self.deepest
+        self.deepest = self.nesting
+        operands, height = [operand()], 0
+        if self.peek().kind != op:  # a lone operand, the common case, kept cheap
+            self.deepest = max(outer, self.deepest)
+            return operands[0]
+        while True:
+            reach = self.deepest - self.nesting
+            more = self.peek().kind == op
+            if op == "->":  # operand i sits i + 1 levels down, the last one i
+                height = max(height, reach + len(operands) - (not more))
+            else:  # each new operand pushes the ones before it down a level
+                height = max(height, reach) + (len(operands) > 1)
+            if not more:
+                break
+            token = self.advance()
+            if op == "&&" and self.dialect == "tlcga":
+                raise FormulaSyntaxError(
+                    "goal conjunction needs the extended dialect", token.position
+                )
+            self.deepest = self.nesting
+            operands.append(operand())
+        if self.nesting + height > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nested deeper than %d levels" % MAX_NESTING, start
+            )
+        self.deepest = max(outer, self.nesting + height)
+        if op == "->":
+            operands.reverse()
+        return functools.reduce(_CONNECTIVES[op], operands)
 
     def parse_unary(self) -> StateFormula:
         token = self.peek()
         self.nesting += 1  # every nested operand passes through here
+        self.deepest = max(self.deepest, self.nesting)
         if self.nesting > MAX_NESTING:
             raise FormulaSyntaxError(
                 "formula nested deeper than %d levels" % MAX_NESTING, token.position
@@ -235,15 +266,7 @@ class _Parser:
         return Coalition(members)
 
     def parse_path(self) -> PathFormula:
-        goal = self.parse_path_atom()
-        while self.peek().kind == "&&":
-            token = self.advance()
-            if self.dialect == "tlcga":
-                raise FormulaSyntaxError(
-                    "goal conjunction needs the extended dialect", token.position
-                )
-            goal = PathAnd(goal, self.parse_path_atom())
-        return goal
+        return self.parse_chain(self.parse_path_atom, "&&")
 
     def parse_path_atom(self) -> PathFormula:
         token = self.peek()

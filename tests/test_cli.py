@@ -1,12 +1,20 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlcga.cli import main
-from tlcga.corpus import build_case, write_case
-from tlcga.models import load_model
+from tlcga.corpus import build_case, default_cases, write_case
+from tlcga.models import InvalidModelError, from_json_dict, load_model
 from tlcga.parser import parse_state_formula
 
 
@@ -96,11 +104,20 @@ class TestExitCodes:
         assert code == 2
 
     def test_deep_formula_is_invalid_input(self, capsys):
-        code, out, err = run(capsys, "check", "--corpus-case", "exampleA",
-                             "--formula", "!" * 5000 + "p", "--state", "s")
-        assert code == 2
-        assert out == ""
-        assert "syntax error at position 64: formula nested deeper" in err
+        # Long chains are read in a loop but nest the tree as deeply.
+        for formula, position in [
+            ("!" * 5000 + "p", 64),
+            ("&".join(["p"] * 5000), 0),
+            ("|".join(["p"] * 5000), 0),
+            ("->".join(["p"] * 5000), 0),
+            ("<< {a} -> " + " && ".join(["X p"] * 3000) + " >>", 10),
+        ]:
+            code, out, err = run(capsys, "check", "--corpus-case", "exampleA",
+                                 "--formula", formula, "--state", "s")
+            assert code == 2
+            assert out == ""
+            assert ("syntax error at position %d: formula nested deeper"
+                    % position) in err
 
     @staticmethod
     def _one_state_model(path, props, actions):
@@ -133,25 +150,60 @@ class TestExitCodes:
         assert "props of state s must be a JSON list" in err
 
     @pytest.mark.parametrize(
-        "section, value, message",
+        "changes, message",
         [
-            ("states", ["s"], "each entry of states must be a JSON object"),
+            ({"states": ["s"]}, "each entry of states must be a JSON object"),
             (
-                "transitions",
-                {"s": {"profile": {"a": "go"}, "to": "s"}},
+                {"transitions": {"s": {"profile": {"a": "go"}, "to": "s"}}},
                 "transitions of state s must be a JSON list",
             ),
-            ("actions", [{"s": {"a": ["go"]}}], "actions must be a JSON object"),
+            ({"actions": [{"s": {"a": ["go"]}}]}, "actions must be a JSON object"),
+            # Names must be JSON strings; each of these used to end in a
+            # TypeError traceback, except the integer action, which loaded.
+            ({"agents": ["a", 1]}, "each entry of agents must be a JSON string"),
+            ({"agents": [["a"]]}, "each entry of agents must be a JSON string"),
+            (
+                {"states": [{"id": "s", "props": [1, "p"]}]},
+                "each entry of props of state s must be a JSON string",
+            ),
+            (
+                {"states": [{"id": "s", "props": [["p"]]}]},
+                "each entry of props of state s must be a JSON string",
+            ),
+            (
+                {"actions": {"s": {"a": [["g"], "o"]}}},
+                "each entry of actions of agent a at state s must be a JSON string",
+            ),
+            (
+                {"actions": {"s": {"a": [1, "o"]}},
+                 "transitions": {"s": [{"profile": {"a": 1}, "to": "s"},
+                                       {"profile": {"a": "o"}, "to": "s"}]}},
+                "each entry of actions of agent a at state s must be a JSON string",
+            ),
+            (
+                {"transitions": {"s": [{"profile": {"a": ["g"]}, "to": "s"},
+                                       {"profile": {"a": "o"}, "to": "s"}]}},
+                "each action in the profile of each transition of state s"
+                " must be a JSON string",
+            ),
+            (
+                {"transitions": {"s": [{"profile": {"a": "g"}, "to": ["s"]},
+                                       {"profile": {"a": "o"}, "to": "s"}]}},
+                "target of each transition of state s must be a JSON string",
+            ),
         ],
-        ids=["state-as-string", "transitions-as-object", "actions-as-list"],
+        ids=["state-as-string", "transitions-as-object", "actions-as-list",
+             "agent-as-integer", "agent-as-list", "prop-as-integer",
+             "prop-as-list", "action-as-list", "action-as-integer",
+             "profile-action-as-list", "target-as-list"],
     )
     def test_wrong_json_shapes_are_invalid_input(
-        self, capsys, tmp_path, section, value, message
+        self, capsys, tmp_path, changes, message
     ):
         path = tmp_path / "m.json"
         self._one_state_model(path, ["p"], ["g", "o"])
         document = json.loads(path.read_text())
-        document[section] = value
+        document.update(changes)
         path.write_text(json.dumps(document))
         code, out, err = run(capsys, "check", "--model", str(path),
                              "--formula", "p", "--state", "s")
@@ -456,3 +508,71 @@ class TestCorpus:
     def test_unknown_case_is_invalid_input(self, capsys, tmp_path):
         assert run(capsys, "corpus", "--build", "nonsense",
                    "--out", str(tmp_path))[0] == 2
+
+
+_VALID_DOCUMENTS = [case.model.to_json_dict() for case in default_cases()]
+_JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+def _paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    if path:
+        yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _paths(node[key], path + (key,))
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A valid corpus document with one mutation applied."""
+    document = copy.deepcopy(draw(st.sampled_from(_VALID_DOCUMENTS)))
+    kind = draw(st.sampled_from(
+        ["delete", "retype", "drop", "duplicate", "retarget"]))
+    if kind in ("delete", "retype"):
+        *parents, key = draw(st.sampled_from(list(_paths(document))))
+        container = functools.reduce(operator.getitem, parents, document)
+        if kind == "delete":
+            del container[key]
+        else:
+            old = type(container[key])
+            container[key] = draw(st.sampled_from(
+                [value for value in _JSON_VALUES if type(value) is not old]))
+        return document
+    transitions = document["transitions"]
+    state, index = draw(st.sampled_from(
+        [(state, i) for state, items in transitions.items()
+         for i in range(len(items))]))
+    items = transitions[state]
+    if kind == "drop":
+        del items[index]
+    elif kind == "duplicate":
+        items.append(copy.deepcopy(items[index]))
+    else:
+        ids = [entry["id"] for entry in document["states"]]
+        items[index]["to"] = draw(st.sampled_from(ids + ["ghost"]))
+    return document
+
+
+@settings(max_examples=200)
+@given(_malformed_documents())
+def test_malformed_model_documents_exit_two_without_traceback(document):
+    try:
+        model = from_json_dict(document)
+    except InvalidModelError:
+        model = None
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "model.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--model", path, "--formula", "<< {} -> G true >>",
+                         "--state", model.states[0] if model else "s"])
+    assert "Traceback" not in err.getvalue()
+    if model is None:
+        assert (code, out.getvalue()) == (2, "")
+        assert "invalid input: " in err.getvalue()
+    else:
+        assert code == 0

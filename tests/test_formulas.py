@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +48,19 @@ S = Prop("s")
 
 def ga(*entries):
     return GoalAssignment(entries)
+
+
+def _depth(node) -> int:
+    """Tree depth as the parser bounds it; the goal operators X, U and G
+    add no level of their own."""
+    if isinstance(node, Strategic):
+        return 1 + max(_depth(goal) for _, goal in node.assignment)
+    children = [getattr(node, field.name) for field in fields(node)]
+    below = max(
+        (_depth(child) for child in children if not isinstance(child, str)),
+        default=0,
+    )
+    return below + (not isinstance(node, (Next, Until, Globally)))
 
 
 class TestParsing:
@@ -123,11 +138,19 @@ class TestParsing:
             lambda n: "!" * n + "p",
             lambda n: "(" * n + "p" + ")" * n,
             lambda n: "<< {a} -> X " * n + "p" + " >>" * n,
+            # Chains are read in a loop, but each connective is a tree level.
+            lambda n: "&".join(["p"] * (n + 1)),
+            lambda n: "|".join(["p"] * (n + 1)),
+            lambda n: "->".join(["p"] * (n + 1)),
+            lambda n: "<< {a} -> " + " && ".join(["X p"] * n) + " >>",
+            lambda n: "!" * (n - 3) + "p" + " & p" * 3,
         ],
-        ids=["negation", "brackets", "strategic"],
+        ids=["negation", "brackets", "strategic", "and-chain", "or-chain",
+             "implies-chain", "goal-chain", "chain-of-deep-operand"],
     )
     def test_nesting_is_bounded(self, nest):
-        assert parse_state_formula(nest(MAX_NESTING - 1))
+        deepest = parse_state_formula(nest(MAX_NESTING - 1))
+        assert _depth(deepest) <= MAX_NESTING
         for depth in (MAX_NESTING, 5000):
             with pytest.raises(FormulaSyntaxError, match="nested deeper"):
                 parse_state_formula(nest(depth))

@@ -169,7 +169,10 @@ class TestSerialization:
     def test_missing_profile_is_rejected(self):
         data = example_a().model.to_json_dict()
         data["transitions"]["s"] = data["transitions"]["s"][:1]
-        with pytest.raises(InvalidModelError, match=r"no transition at s for profile \(a=a2, b=b\)"):
+        with pytest.raises(
+            InvalidModelError,
+            match=r"^outcome not total: no transition at s for profile \(a=a2, b=b\)$",
+        ):
             from_json_dict(data)
 
     def test_omitted_agent_is_rejected(self):
@@ -187,13 +190,55 @@ class TestSerialization:
     def test_unknown_target_is_rejected(self):
         data = tiny_loop().to_json_dict()
         data["transitions"]["s"][0]["to"] = "ghost"
-        with pytest.raises(InvalidModelError, match="unknown state ghost"):
+        with pytest.raises(
+            InvalidModelError,
+            match=r"^transition from s via \(a=go\) targets unknown state ghost$",
+        ):
             from_json_dict(data)
 
     def test_empty_action_set_is_rejected(self):
         data = tiny_loop().to_json_dict()
         data["actions"]["s"]["a"] = []
-        with pytest.raises(InvalidModelError, match="empty action set"):
+        with pytest.raises(
+            InvalidModelError, match="^empty action set for agent a at state s$"
+        ):
+            from_json_dict(data)
+
+    # One broken document per rule of `validate()` that no test above
+    # covers; the loader raises the rule's message. (A document cannot
+    # put an unknown state into the valuation: props are listed per state.)
+    @pytest.mark.parametrize(
+        "breaks, message",
+        [
+            (
+                lambda data: data["actions"]["s"].update(a=["go", "go"]),
+                "duplicate actions for agent a at state s",
+            ),
+            (
+                lambda data: data["transitions"]["s"].append(
+                    {"profile": {"a": "stop"}, "to": "s"}
+                ),
+                r"transition from s uses unavailable profile \(a=stop\)",
+            ),
+            (
+                lambda data: data.update(
+                    agents=[],
+                    actions={"s": {}},
+                    transitions={"s": [{"profile": {}, "to": "s"}]},
+                ),
+                "model declares no agents",
+            ),
+            (
+                lambda data: data.update(states=[], actions={}, transitions={}),
+                "model has no states",
+            ),
+        ],
+        ids=["duplicate-actions", "unavailable-profile", "no-agents", "no-states"],
+    )
+    def test_model_rules_are_checked_on_load(self, breaks, message):
+        data = tiny_loop().to_json_dict()
+        breaks(data)
+        with pytest.raises(InvalidModelError, match="^%s$" % message):
             from_json_dict(data)
 
     def test_string_agents_are_rejected(self):

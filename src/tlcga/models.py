@@ -24,6 +24,11 @@ class ResourceLimitError(RuntimeError):
     """Raised when a construction or search exceeds its configured budget."""
 
 
+# The most transitions `scos` builds; the split of
+# sheep-wolves(4,4,wolves_then_sheep) has 1,392,833 (about 250 MB).
+SCOS_MAX_TRANSITIONS = 2_000_000
+
+
 def format_profile(agents: tuple[str, ...], profile: tuple[str, ...]) -> str:
     """Render a profile as agent=action pairs in agent order."""
     return "(" + ", ".join(
@@ -209,6 +214,9 @@ class ConcurrentGameModel:
         maximal number of profiles leading to it from any single source;
         profile i (in canonical enumeration order per source) is
         redirected to copy i. Copy 0 is the designated representative.
+        Every copy of a state gets all of its transitions; a split of more
+        than `SCOS_MAX_TRANSITIONS` raises `ResourceLimitError` before
+        anything is built.
         """
         incoming_rank: dict[tuple[str, tuple[str, ...]], int] = {}
         copy_count: dict[str, int] = {state: 1 for state in self.states}
@@ -222,6 +230,14 @@ class ConcurrentGameModel:
             for target, count in per_target.items():
                 if count > copy_count[target]:
                     copy_count[target] = count
+        transitions = sum(
+            copy_count[state] * len(self.profiles(state)) for state in self.states
+        )
+        if transitions > SCOS_MAX_TRANSITIONS:
+            raise ResourceLimitError(
+                "scos split would have %d transitions, more than %d"
+                % (transitions, SCOS_MAX_TRANSITIONS)
+            )
 
         taken = set(self._state_set)
         copy_names: dict[str, tuple[str, ...]] = {}

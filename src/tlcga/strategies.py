@@ -206,57 +206,98 @@ def _goal_extensions(
     return extensions, evaluator.effectivity
 
 
-def _coalition_closure(
-    index: Effectivity,
-    start: str,
-    mode: MemoryMode,
-    coalition: Iterable[str],
-    lookup: Callable[[str, tuple], str],
-):
-    """Memories reachable when the coalition follows `lookup`.
+class _Closure:
+    """The memories one coalition reaches when its members follow a lookup.
 
-    Returns (nodes in first-seen order, edges as node -> ordered
-    targets). Raises whatever `lookup` raises on a missing entry.
+    A breadth-first search from the root memory, kept between calls:
+    `order` holds the reached memories in first-seen order and `seen` the
+    same as a set, `edges` maps each expanded memory to its ordered
+    targets, and `order[head:]` waits to be expanded. `grow` resumes the
+    search where it stopped (a new closure is empty, and its first `grow`
+    reaches the root) and `undo` returns it to an earlier `mark`.
+    While the lookup only gains entries, a memory once reached stays
+    reached and its edges never change, so a resumed search visits the
+    same memories in the same order as one from scratch.
     """
-    model = index.model
-    members = sorted(coalition)
-    positions = None
-    root = initial_memory(start)
-    order = [root]
-    edges: dict[tuple, list[tuple]] = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        memory = queue.pop(0)
-        state = memory_state(memory)
-        joint = []
-        for agent in members:
-            action = lookup(agent, memory)
-            if action not in model.actions_of(state, agent):
-                raise InvalidWitnessError(
-                    "action %s of agent %s unavailable at %s"
-                    % (action, agent, state)
+
+    def __init__(
+        self,
+        index: Effectivity,
+        start: str,
+        mode: MemoryMode,
+        coalition: Iterable[str],
+    ) -> None:
+        self.index = index
+        self.mode = mode
+        self.members = sorted(coalition)
+        self.positions: Optional[tuple[int, ...]] = None
+        self.root = initial_memory(start)
+        self.order: list[tuple] = []
+        self.seen: set[tuple] = set()
+        self.edges: dict[tuple, list[tuple]] = {}
+        self.head = 0
+
+    @property
+    def complete(self) -> bool:
+        return bool(self.order) and self.head == len(self.order)
+
+    def mark(self) -> tuple[int, int]:
+        return len(self.order), self.head
+
+    def undo(self, mark: tuple[int, int]) -> None:
+        reached, head = mark
+        for memory in self.order[head:self.head]:
+            del self.edges[memory]
+        for memory in self.order[reached:]:
+            self.seen.discard(memory)
+        del self.order[reached:]
+        self.head = head
+
+    def grow(
+        self, lookup: Callable[[str, tuple], Optional[str]]
+    ) -> Optional[tuple[str, tuple]]:
+        """Expand memories until the closure is complete (None) or a
+        member has no action yet: the (agent, memory) entry it stopped
+        at. Raises whatever `lookup` raises.
+        """
+        model = self.index.model
+        order, seen, edges = self.order, self.seen, self.edges
+        if not order:
+            order.append(self.root)
+            seen.add(self.root)
+        while self.head < len(order):
+            memory = order[self.head]
+            state = memory_state(memory)
+            joint = []
+            for agent in self.members:
+                action = lookup(agent, memory)
+                if action is None:
+                    return agent, memory
+                if action not in model.actions_of(state, agent):
+                    raise InvalidWitnessError(
+                        "action %s of agent %s unavailable at %s"
+                        % (action, agent, state)
+                    )
+                joint.append(action)
+            if self.positions is None:
+                # Only now is every member known to be an agent of the model.
+                self.positions = self.index.positions(self.members)
+            of_profile, _, of_restriction = self.index.blocks(state, self.positions)
+            block = of_restriction[tuple(joint)]
+            targets = []
+            for profile, in_block in zip(model.profiles(state), of_profile):
+                if in_block != block:
+                    continue
+                target = update_memory(
+                    self.mode, memory, profile, model.out(state, profile)
                 )
-            joint.append(action)
-        if positions is None:
-            # Only now is every member known to be an agent of the model.
-            positions = index.positions(members)
-        of_profile, _, of_restriction = index.blocks(state, positions)
-        block = of_restriction[tuple(joint)]
-        targets = []
-        for profile, in_block in zip(model.profiles(state), of_profile):
-            if in_block != block:
-                continue
-            target = update_memory(
-                mode, memory, profile, model.out(state, profile)
-            )
-            targets.append(target)
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-        edges[memory] = targets
-    return order, edges
+                targets.append(target)
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
+            edges[memory] = targets
+            self.head += 1
+        return None
 
 
 def _check_goal_on_product(
@@ -329,9 +370,18 @@ def verify_witness(
 def _verify(index, state, mode, lookup, assignment, extensions):
     failures: list[str] = []
     for coalition, goal in assignment:
-        order, edges = _coalition_closure(index, state, mode, coalition, lookup)
-        root = initial_memory(state)
-        for failure in _check_goal_on_product(goal, root, order, edges, extensions):
+        closure = _Closure(index, state, mode, coalition)
+        missing = closure.grow(lookup)
+        if missing is not None:
+            # Only a table entry that is JSON null gets here.
+            agent, memory = missing
+            raise InvalidWitnessError(
+                "action None of agent %s unavailable at %s"
+                % (agent, memory_state(memory))
+            )
+        for failure in _check_goal_on_product(
+            goal, closure.root, closure.order, closure.edges, extensions
+        ):
             failures.append("coalition %s: %s" % (coalition, failure))
     return not failures, failures
 
@@ -349,10 +399,39 @@ class WitnessSearchResult:
         return "none (exact)" if self.exact else "none (bounded)"
 
 
-class _MissingEntry(Exception):
-    def __init__(self, agent: str, memory: tuple) -> None:
-        self.agent = agent
-        self.memory = memory
+def _refuted(
+    closure: _Closure,
+    goal: PathFormula,
+    mark: tuple[int, int],
+    extensions: Mapping[StateFormula, frozenset[str]],
+) -> bool:
+    """Whether `goal` fails on every completion of the closure, judged on
+    what it gained since `mark`.
+
+    A newly reached memory outside a `G` body, a just-expanded root with a
+    successor outside an `X` body, or a just-completed closure that fails
+    its goal stays a failure however the closure grows. A `U` goal is
+    only judged once the closure is complete.
+    """
+    reached, head = mark
+    if 0 < reached == head:
+        return False  # complete at `mark`, so judged before
+    if closure.complete:
+        return bool(_check_goal_on_product(
+            goal, closure.root, closure.order, closure.edges, extensions
+        ))
+    for part in path_conjuncts(goal):
+        if isinstance(part, Globally):
+            body = extensions[part.body]
+            for memory in closure.order[reached:]:
+                if memory_state(memory) not in body:
+                    return True
+        elif isinstance(part, Next) and head == 0 < closure.head:
+            body = extensions[part.body]
+            for successor in closure.edges[closure.root]:
+                if memory_state(successor) not in body:
+                    return True
+    return False
 
 
 def find_witness(
@@ -366,43 +445,41 @@ def find_witness(
 
     Decisions are made lazily at the first reachable memory that lacks
     one, in a fixed canonical order, and actions are tried in their
-    declared order, so the found witness is deterministic. When the
-    search space is exhausted without success the absence is exact for
-    the whole class; when the step budget runs out first it is only
+    declared order, so the found witness is deterministic. Each
+    coalition's closure grows with the decisions of the current branch
+    and is undone on backtrack. A branch is cut as soon as a closure
+    breaks its goal for every completion (see `_refuted`); such a branch
+    holds no witness, so the cuts do not change which witness is found.
+    `explored` counts the search nodes entered, cut ones included. When
+    the search space is exhausted without success the absence is exact
+    for the whole class; when the step budget runs out first it is only
     bounded.
     """
     if not model.has_state(state):
         raise ValueError("unknown state %s" % state)
     extensions, index = _goal_extensions(model, assignment)
-    support = assignment.support()
-    agents_involved = sorted({a for c in support for a in c})
+    goals = [goal for _, goal in assignment]
+    closures = [
+        _Closure(index, state, mode, coalition) for coalition in assignment.support()
+    ]
+    agents_involved = sorted({a for c in closures for a in c.members})
     decisions: dict[tuple[str, tuple], str] = {}
     steps = 0
     exhausted = True
 
-    def lookup(agent: str, memory: tuple) -> str:
-        key = (agent, memory)
-        if key in decisions:
-            return decisions[key]
-        available = model.actions_of(memory_state(memory), agent)
-        if len(available) == 1:
-            return available[0]
-        raise _MissingEntry(agent, memory)
-
-    def first_missing():
-        for coalition in support:
-            try:
-                _coalition_closure(index, state, mode, coalition, lookup)
-            except _MissingEntry as missing:
-                return missing
-        return None
+    def lookup(agent: str, memory: tuple) -> Optional[str]:
+        action = decisions.get((agent, memory))
+        if action is None:
+            available = model.actions_of(memory_state(memory), agent)
+            if len(available) == 1:
+                return available[0]
+        return action
 
     def assemble() -> FiniteStrategyProfile:
         tables: dict[str, dict[tuple, str]] = {a: {} for a in agents_involved}
-        for coalition in support:
-            order, _ = _coalition_closure(index, state, mode, coalition, lookup)
-            for memory in order:
-                for agent in sorted(coalition):
+        for closure in closures:
+            for memory in closure.order:
+                for agent in closure.members:
                     tables[agent].setdefault(memory, lookup(agent, memory))
         return FiniteStrategyProfile(mode, tables)
 
@@ -412,23 +489,34 @@ def find_witness(
             exhausted = False
             return None
         steps += 1
-        missing = first_missing()
-        if missing is None:
-            candidate = assemble()
-            ok, _ = _verify(
-                index, state, mode, candidate.action, assignment, extensions
-            )
-            return candidate if ok else None
-        key = (missing.agent, missing.memory)
-        for action in model.actions_of(memory_state(missing.memory), missing.agent):
-            decisions[key] = action
-            found = search()
-            if found is not None:
-                return found
-            del decisions[key]
-            if not exhausted:
-                return None
-        return None
+        marks = [closure.mark() for closure in closures]
+        try:
+            missing = None
+            for closure, goal, mark in zip(closures, goals, marks):
+                entry = closure.grow(lookup)
+                if _refuted(closure, goal, mark, extensions):
+                    return None
+                if missing is None:
+                    missing = entry
+            if missing is None:
+                candidate = assemble()
+                ok, _ = _verify(
+                    index, state, mode, candidate.action, assignment, extensions
+                )
+                return candidate if ok else None
+            agent, memory = missing
+            for action in model.actions_of(memory_state(memory), agent):
+                decisions[missing] = action
+                found = search()
+                if found is not None:
+                    return found
+                del decisions[missing]
+                if not exhausted:
+                    return None
+            return None
+        finally:
+            for closure, mark in zip(closures, marks):
+                closure.undo(mark)
 
     witness = search()
     return WitnessSearchResult(witness, exhausted if witness is None else True, steps)

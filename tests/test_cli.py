@@ -293,6 +293,14 @@ class TestModelCommands:
         assert "states after: 7" in out
         assert "s2: 3" in out
 
+    def test_oversized_scos_exits_three(self, capsys):
+        code, out, err = run(capsys, "scos", "--corpus-case", "sheep-wolves",
+                             "--params", "n_sheep=5,n_wolves=5")
+        assert code == 3
+        assert out == ""
+        assert "resource limit: scos split would have" in err
+        assert "Traceback" not in err
+
     def test_scos_can_save_the_split_model(self, capsys, tmp_path):
         target = tmp_path / "split.json"
         run(capsys, "scos", "--corpus-case", "exampleB", "--out", str(target))

@@ -5,6 +5,7 @@ import pytest
 from tlcga.checking import Evaluator, check, extension_of
 from tlcga.corpus import (
     build_case,
+    default_cases,
     example_a,
     example_b,
     example_b_gamma_prime,
@@ -12,6 +13,7 @@ from tlcga.corpus import (
 )
 from tlcga.formulas import Globally, Next, Prop, Strategic, Until
 from tlcga.parser import parse_path_formula, parse_state_formula
+from tlcga.sampling import DEFAULT_SEED, make_rng, random_oracle_query
 from tlcga.strategies import (
     FiniteStrategyProfile,
     InvalidWitnessError,
@@ -19,18 +21,132 @@ from tlcga.strategies import (
     MemoryMode,
     PartialStrategyError,
     POSITIONAL,
+    WitnessSearchResult,
+    _check_goal_on_product,
+    _goal_extensions,
     atl_check,
     atl_holds,
     eval_on_lasso,
     find_witness,
     initial_memory,
     memory_sort_key,
+    memory_state,
     parse_memory_mode,
     play_lasso,
     render_memory,
     update_memory,
     verify_witness,
 )
+
+
+# The search that rebuilds every coalition's closure from scratch at each
+# step and judges a branch only at its leaves, kept as an independent
+# reference for the incremental search with early cuts.
+
+class _MissingEntry(Exception):
+    def __init__(self, agent, memory):
+        self.agent = agent
+        self.memory = memory
+
+
+def reference_closure(index, start, mode, coalition, lookup):
+    """Memories reachable when the coalition follows `lookup`: (nodes in
+    first-seen order, edges as node -> ordered targets)."""
+    model = index.model
+    members = sorted(coalition)
+    positions = index.positions(members)
+    root = initial_memory(start)
+    order = [root]
+    edges = {}
+    seen = {root}
+    queue = [root]
+    while queue:
+        memory = queue.pop(0)
+        state = memory_state(memory)
+        joint = tuple(lookup(agent, memory) for agent in members)
+        of_profile, _, of_restriction = index.blocks(state, positions)
+        block = of_restriction[joint]
+        targets = []
+        for profile, in_block in zip(model.profiles(state), of_profile):
+            if in_block != block:
+                continue
+            target = update_memory(mode, memory, profile, model.out(state, profile))
+            targets.append(target)
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+                queue.append(target)
+        edges[memory] = targets
+    return order, edges
+
+
+def reference_find_witness(model, state, assignment, mode, limit):
+    extensions, index = _goal_extensions(model, assignment)
+    support = assignment.support()
+    agents_involved = sorted({a for c in support for a in c})
+    decisions = {}
+    steps = 0
+    exhausted = True
+
+    def lookup(agent, memory):
+        key = (agent, memory)
+        if key in decisions:
+            return decisions[key]
+        available = model.actions_of(memory_state(memory), agent)
+        if len(available) == 1:
+            return available[0]
+        raise _MissingEntry(agent, memory)
+
+    def first_missing():
+        for coalition in support:
+            try:
+                reference_closure(index, state, mode, coalition, lookup)
+            except _MissingEntry as missing:
+                return missing
+        return None
+
+    def verifies(candidate):
+        for coalition, goal in assignment:
+            order, edges = reference_closure(
+                index, state, mode, coalition, candidate.action
+            )
+            root = initial_memory(state)
+            if _check_goal_on_product(goal, root, order, edges, extensions):
+                return False
+        return True
+
+    def assemble():
+        tables = {a: {} for a in agents_involved}
+        for coalition in support:
+            order, _ = reference_closure(index, state, mode, coalition, lookup)
+            for memory in order:
+                for agent in sorted(coalition):
+                    tables[agent].setdefault(memory, lookup(agent, memory))
+        return FiniteStrategyProfile(mode, tables)
+
+    def search():
+        nonlocal steps, exhausted
+        if steps >= limit:
+            exhausted = False
+            return None
+        steps += 1
+        missing = first_missing()
+        if missing is None:
+            candidate = assemble()
+            return candidate if verifies(candidate) else None
+        key = (missing.agent, missing.memory)
+        for action in model.actions_of(memory_state(missing.memory), missing.agent):
+            decisions[key] = action
+            found = search()
+            if found is not None:
+                return found
+            del decisions[key]
+            if not exhausted:
+                return None
+        return None
+
+    witness = search()
+    return WitnessSearchResult(witness, exhausted if witness is None else True, steps)
 
 
 def assignment_of(case, name):
@@ -210,11 +326,11 @@ class TestFindWitness:
             ("exampleA", "gammaA", "positional", "none (exact)", 3),
             ("exampleA", "gammaA", "path:3", "witness", 5),
             ("exampleA", "gammaA", "play:3", "witness", 5),
-            ("exampleB", "gammaB", "path:2", "none (exact)", 15),
+            ("exampleB", "gammaB", "path:2", "none (exact)", 11),
             ("exampleB", "gammaB", "play:2", "witness", 6),
             ("exampleB-gamma-prime", "gammaBprime", "path:2", "witness", 4),
             ("password", "exchange", "positional", "witness", 5),
-            ("password", "protective", "positional", "none (exact)", 97),
+            ("password", "protective", "positional", "none (exact)", 13),
         ],
     )
     def test_corpus_queries_keep_their_outcome_and_search_size(
@@ -259,6 +375,59 @@ class TestFindWitness:
         gamma = assignment_of(case, "gammaA")
         with pytest.raises(ValueError, match="unknown state"):
             find_witness(case.model, "nowhere", gamma, POSITIONAL)
+
+
+def _corpus_queries():
+    for case in default_cases():
+        for query in case.oracle_queries:
+            yield (
+                "%s/%s %s" % (case.name, query.formula, query.mode),
+                case.model,
+                query.state,
+                assignment_of(case, query.formula),
+                parse_memory_mode(query.mode),
+                100000,
+            )
+
+
+def _random_queries(seed, count):
+    rng = make_rng(seed)
+    for index in range(count):
+        model, state, assignment, mode = random_oracle_query(rng)
+        yield "seed %d #%d" % (seed, index), model, state, assignment, mode, 20000
+
+
+class TestSearchAgreesWithReference:
+    """The incremental search finds what the from-scratch search finds.
+
+    Wherever the reference decides within its limit, the outcome and the
+    witness must be equal and the incremental search may not enter more
+    nodes; its cuts only drop branches without a witness.
+    """
+
+    def _agree(self, queries):
+        modes = set()
+        for label, model, state, assignment, mode, limit in queries:
+            expected = reference_find_witness(model, state, assignment, mode, limit)
+            if expected.outcome == "none (bounded)":
+                continue
+            modes.add(mode.kind)
+            found = find_witness(model, state, assignment, mode, limit=limit)
+            assert found.outcome == expected.outcome, label
+            assert found.witness == expected.witness, label
+            assert found.explored <= expected.explored, label
+        return modes
+
+    def test_corpus_queries(self):
+        self._agree(_corpus_queries())
+
+    def test_criterion_ten_panel(self):
+        self._agree(_random_queries(DEFAULT_SEED + 2, 200))
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_random_queries(self, seed):
+        modes = self._agree(_random_queries(seed, 100))
+        assert modes == {"positional", "path", "play"}
 
 
 class TestOracleAgreesWithChecker:

@@ -27,7 +27,6 @@ from .formulas import (
     Strategic,
     Truth,
     Var,
-    free_vars,
     path_conjuncts,
 )
 from .models import ConcurrentGameModel, Effectivity
@@ -57,14 +56,6 @@ class Evaluator:
         self.effectivity = Effectivity(model)
         self._all = frozenset(model.states)
         self._cache: dict = {}
-        self._free: dict[StateFormula, frozenset[str]] = {}
-
-    def _free_vars(self, phi: StateFormula) -> frozenset[str]:
-        cached = self._free.get(phi)
-        if cached is None:
-            cached = free_vars(phi)
-            self._free[phi] = cached
-        return cached
 
     def extension(
         self, phi: StateFormula, env: Mapping[str, frozenset[str]] | None = None
@@ -74,7 +65,7 @@ class Evaluator:
             phi,
             tuple(
                 (name, env[name])
-                for name in sorted(self._free_vars(phi))
+                for name in sorted(phi.free_vars)
                 if name in env
             ),
         )

@@ -2,13 +2,20 @@
 
 State formulas, path formulas (coalition goals), coalitions, and goal
 assignments, plus the structural operations the transformation and
-model-checking layers build on. All values are immutable and hashable;
-equality is structural.
+model-checking layers build on. All values are immutable and hashable.
+
+Formula DAGs share subterms (the fixpoint translation and the
+characteristic formulas of bisimulation build them), so no operation
+here walks a subtree more than once per node: each node computes its
+structural hash and its free fixpoint variables once, in its
+constructor, from its children's stored values. Equality is structural,
+with identity and the stored hashes as fast paths: nodes whose hashes
+differ are unequal without a walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -32,9 +39,118 @@ def coalition_key(coalition: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(coalition))
 
 
-@dataclass(frozen=True)
-class StateFormula:
+_NO_VARS: frozenset[str] = frozenset()
+_EMPTY_HASH = hash(())
+
+
+def _union(left: frozenset[str], right: frozenset[str]) -> frozenset[str]:
+    """Union that returns an operand, not a copy, when it adds nothing."""
+    if right <= left:
+        return left
+    if left <= right:
+        return right
+    return left | right
+
+
+class _Node:
+    """Behaviour shared by formula nodes.
+
+    A node's fields are named in `__match_args__` and compared by
+    `_same_fields`. `_hash` is the hash of the tuple of fields, which
+    reads the children's stored hashes, and `free_vars` holds the
+    fixpoint variables free in the node. Constructors write the slots
+    through the `_set_*` descriptors below, since assignment raises.
+    """
+
+    __slots__ = ("_hash", "free_vars")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._same_fields(other)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, tuple(
+            getattr(self, name) for name in self.__match_args__
+        )
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join(
+                "%s=%r" % (name, getattr(self, name))
+                for name in self.__match_args__
+            ),
+        )
+
+
+class _Leaf(_Node):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set_hash(self, _EMPTY_HASH)
+        _set_free(self, _NO_VARS)
+
+    def _same_fields(self, other) -> bool:
+        return True
+
+
+class _Named(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def _same_fields(self, other) -> bool:
+        return self.name == other.name
+
+
+class _Unary(_Node):
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: _Node) -> None:
+        _set_body(self, body)
+        _set_hash(self, hash((body,)))
+        _set_free(self, body.free_vars)
+
+    def _same_fields(self, other) -> bool:
+        return self.body == other.body
+
+
+class _Pair(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: _Node, right: _Node) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
+        _set_free(self, _union(left.free_vars, right.free_vars))
+
+    def _same_fields(self, other) -> bool:
+        return self.left == other.left and self.right == other.right
+
+
+_set_hash = _Node._hash.__set__
+_set_free = _Node.free_vars.__set__
+_set_name = _Named.name.__set__
+_set_body = _Unary.body.__set__
+_set_left = _Pair.left.__set__
+_set_right = _Pair.right.__set__
+
+
+class StateFormula(_Node):
     """Base class for state formulas."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_state(self)
@@ -49,62 +165,61 @@ class StateFormula:
         return Or(self, other)
 
 
-@dataclass(frozen=True)
-class PathFormula:
+class PathFormula(_Node):
     """Base class for coalition goals (path formulas)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_path(self)
 
 
-@dataclass(frozen=True)
-class Truth(StateFormula):
-    pass
+class Truth(_Leaf, StateFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Falsity(StateFormula):
-    pass
+class Falsity(_Leaf, StateFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prop(StateFormula):
-    name: str
+class Prop(_Named, StateFormula):
+    __slots__ = ()
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
+        _set_free(self, _NO_VARS)
 
 
-@dataclass(frozen=True)
-class Var(StateFormula):
+class Var(_Named, StateFormula):
     """A fixpoint variable; distinguished from Prop by binding context."""
 
-    name: str
+    __slots__ = ()
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
+        _set_free(self, frozenset((name,)))
 
 
-@dataclass(frozen=True)
-class Not(StateFormula):
-    body: StateFormula
+class Not(_Unary, StateFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(StateFormula):
-    left: StateFormula
-    right: StateFormula
+class And(_Pair, StateFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(StateFormula):
-    left: StateFormula
-    right: StateFormula
+class Or(_Pair, StateFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(StateFormula):
+class Implies(_Pair, StateFormula):
     """Sugar for !left | right; eliminated by desugar before evaluation."""
 
-    left: StateFormula
-    right: StateFormula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Strategic(StateFormula):
     """The coalitional strategic operator applied to a goal assignment.
 
@@ -112,47 +227,68 @@ class Strategic(StateFormula):
     the goal of every coalition in the assignment's support.
     """
 
-    assignment: "GoalAssignment"
+    __slots__ = __match_args__ = ("assignment",)
+
+    def __init__(self, assignment: "GoalAssignment") -> None:
+        _set_assignment(self, assignment)
+        _set_hash(self, hash((assignment,)))
+        _set_free(self, assignment.free_vars)
+
+    def _same_fields(self, other) -> bool:
+        return self.assignment == other.assignment
 
 
-@dataclass(frozen=True)
-class Mu(StateFormula):
+class _Binder(_Unary, StateFormula):
+    """A fixpoint binder: `var` is bound in `body`."""
+
+    __slots__ = ("var",)
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: StateFormula) -> None:
+        _set_var(self, var)
+        _set_body(self, body)
+        _set_hash(self, hash((var, body)))
+        free = body.free_vars
+        if var in free:
+            free = free - {var} or _NO_VARS
+        _set_free(self, free)
+
+    def _same_fields(self, other) -> bool:
+        return self.var == other.var and self.body == other.body
+
+
+_set_assignment = Strategic.assignment.__set__
+_set_var = _Binder.var.__set__
+
+
+class Mu(_Binder):
     """Least fixpoint binder."""
 
-    var: str
-    body: StateFormula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nu(StateFormula):
+class Nu(_Binder):
     """Greatest fixpoint binder."""
 
-    var: str
-    body: StateFormula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(PathFormula):
-    body: StateFormula
+class Next(_Unary, PathFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(PathFormula):
-    left: StateFormula
-    right: StateFormula
+class Until(_Pair, PathFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Globally(PathFormula):
-    body: StateFormula
+class Globally(_Unary, PathFormula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PathAnd(PathFormula):
+class PathAnd(_Pair, PathFormula):
     """Conjunction of goals, available in the extended dialect only."""
 
-    left: PathFormula
-    right: PathFormula
+    __slots__ = ()
 
 
 TRUE = Truth()
@@ -198,10 +334,12 @@ class GoalAssignment:
 
     Entries mapping to the trivial goal X true are dropped at
     construction, so the stored key set always equals the support.
-    Unlisted coalitions implicitly carry the trivial goal.
+    Unlisted coalitions implicitly carry the trivial goal. Like a formula
+    node, an assignment stores its hash and free variables on
+    construction.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_hash", "free_vars")
 
     def __init__(
         self,
@@ -221,22 +359,31 @@ class GoalAssignment:
             if goal == TRIVIAL_GOAL:
                 continue
             table[coalition] = goal
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(sorted(table.items(), key=lambda kv: coalition_key(kv[0]))),
-        )
+        entries = tuple(sorted(table.items(), key=lambda kv: coalition_key(kv[0])))
+        free = _NO_VARS
+        for _, goal in entries:
+            free = _union(free, goal.free_vars)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash(entries))
+        object.__setattr__(self, "free_vars", free)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GoalAssignment is immutable")
 
+    def __reduce__(self):
+        return GoalAssignment, (self.entries,)
+
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GoalAssignment):
             return NotImplemented
+        if self._hash != other._hash:
+            return False
         return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return self._hash
 
     def __iter__(self) -> Iterator[tuple[Coalition, PathFormula]]:
         return iter(self.entries)
@@ -424,32 +571,6 @@ def desugar_goal(goal: PathFormula) -> PathFormula:
     if isinstance(goal, PathAnd):
         return PathAnd(desugar_goal(goal.left), desugar_goal(goal.right))
     raise TypeError("not a path formula: %r" % (goal,))
-
-
-def free_vars(phi: StateFormula) -> frozenset[str]:
-    """Fixpoint variables occurring free in the formula."""
-    if isinstance(phi, Var):
-        return frozenset((phi.name,))
-    if isinstance(phi, (Truth, Falsity, Prop)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, Strategic):
-        names: frozenset[str] = frozenset()
-        for _, goal in phi.assignment:
-            for part in path_conjuncts(goal):
-                if isinstance(part, Next):
-                    names |= free_vars(part.body)
-                elif isinstance(part, Until):
-                    names |= free_vars(part.left) | free_vars(part.right)
-                elif isinstance(part, Globally):
-                    names |= free_vars(part.body)
-        return names
-    if isinstance(phi, (Mu, Nu)):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError("not a state formula: %r" % (phi,))
 
 
 def polarity_violations(phi: StateFormula) -> list[str]:

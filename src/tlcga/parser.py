@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     Coalition,
@@ -66,8 +66,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
@@ -85,19 +84,27 @@ MAX_NESTING = 64
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Split `text` into tokens in one regex pass, ending with an end token.
+
+    Matches are contiguous up to the first character no token starts
+    with; that character is the error.
+    """
     tokens: list[_Token] = []
     index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise FormulaSyntaxError("unexpected character %r" % text[index], index)
-        if match.lastgroup == "op":
-            tokens.append(_Token(match.group(), match.group(), index))
-        elif match.lastgroup == "word":
-            word = match.group()
-            kind = word if word in _RESERVED else "ident"
-            tokens.append(_Token(kind, word, index))
+    for match in _TOKEN_RE.finditer(text):
+        start = match.start()
+        if start != index:
+            break
         index = match.end()
+        group = match.lastgroup
+        if group == "op":
+            op = match.group()
+            tokens.append(_Token(op, op, start))
+        elif group == "word":
+            word = match.group()
+            tokens.append(_Token(word if word in _RESERVED else "ident", word, start))
+    if index != len(text):
+        raise FormulaSyntaxError("unexpected character %r" % text[index], index)
     tokens.append(_Token("end", _END, len(text)))
     return tokens
 

@@ -36,7 +36,6 @@ from .formulas import (
     Var,
     classify,
     coalition_key,
-    free_vars,
     make_path_and,
     path_conjuncts,
     split_long_term_and_next,
@@ -248,12 +247,11 @@ class _Translator:
         return name
 
     def state(self, phi: StateFormula) -> StateFormula:
-        memoizable = not free_vars(phi)
-        if memoizable and phi in self.memo:
-            return self.memo[phi]
-        result = self._state(phi)
-        if memoizable:
-            self.memo[phi] = result
+        if phi.free_vars:
+            return self._state(phi)
+        result = self.memo.get(phi)
+        if result is None:
+            result = self.memo[phi] = self._state(phi)
         return result
 
     def _state(self, phi: StateFormula) -> StateFormula:

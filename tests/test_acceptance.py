@@ -423,9 +423,10 @@ def test_criterion_11_bisimulation_invariance():
                 "%s: bisimilar states disagree: %s"
                 % (case.name, violations),
             )
-            # Checking the characteristic formulas of every pair is slow
-            # beyond 8 states; that cost is evaluation, not refinement.
-            if len(model.states) > 8:
+            # Distinguishing formulas share their subformulas, so building
+            # and checking all 55 pairs of an 11-state model is quick; the
+            # 31-state wolves_then_sheep rung (463 pairs) still is not.
+            if len(model.states) > 11:
                 continue
             related = greatest_bisimulation(model)
             for left in model.states:
@@ -445,9 +446,12 @@ def test_criterion_11_bisimulation_invariance():
                         "%s: no distinction for %s vs %s"
                         % (case.name, left, right),
                     )
-                    b.require(
-                        check(model, left, phi)
-                        and not check(model, right, phi),
-                        "%s: %s does not separate %s from %s"
-                        % (case.name, phi, left, right),
-                    )
+                    # Printing phi takes longer than checking it, so the
+                    # message is built only for a failure.
+                    if not (check(model, left, phi)
+                            and not check(model, right, phi)):
+                        b.require(
+                            False,
+                            "%s: %s does not separate %s from %s"
+                            % (case.name, phi, left, right),
+                        )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import copy
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,8 +39,10 @@ from tlcga import (
     parse_state_formula,
     split_long_term_and_next,
     strategic,
+    to_mu,
 )
-from tlcga.parser import MAX_NESTING
+from tlcga.corpus import default_cases
+from tlcga.parser import MAX_NESTING, _tokenize
 
 P = Prop("p")
 Q = Prop("q")
@@ -55,7 +59,7 @@ def _depth(node) -> int:
     add no level of their own."""
     if isinstance(node, Strategic):
         return 1 + max(_depth(goal) for _, goal in node.assignment)
-    children = [getattr(node, field.name) for field in fields(node)]
+    children = [getattr(node, name) for name in node.__match_args__]
     below = max(
         (_depth(child) for child in children if not isinstance(child, str)),
         default=0,
@@ -406,3 +410,206 @@ def test_print_parse_round_trip(phi):
     text = format_state(phi)
     assert parse_state_formula(text, dialect="mu") == phi
     assert format_state(parse_state_formula(text, dialect="mu")) == text
+
+
+# -- node caches: hash, free variables, equality, immutability ---------------
+
+
+def _reference_free_vars(phi) -> frozenset:
+    """Free fixpoint variables by a walk from scratch (the nodes store theirs)."""
+    if isinstance(phi, Var):
+        return frozenset((phi.name,))
+    if isinstance(phi, (Truth, Falsity, Prop)):
+        return frozenset()
+    if isinstance(phi, (Not, Next, Globally)):
+        return _reference_free_vars(phi.body)
+    if isinstance(phi, (And, Or, Implies, Until, PathAnd)):
+        return _reference_free_vars(phi.left) | _reference_free_vars(phi.right)
+    if isinstance(phi, Strategic):
+        return _reference_free_vars(phi.assignment)
+    if isinstance(phi, GoalAssignment):
+        names = frozenset()
+        for _, goal in phi:
+            names |= _reference_free_vars(goal)
+        return names
+    if isinstance(phi, (Mu, Nu)):
+        return _reference_free_vars(phi.body) - {phi.var}
+    raise TypeError("not a formula: %r" % (phi,))
+
+
+def _subterms(phi) -> list:
+    """Every distinct node below `phi`, goal assignments included."""
+    seen, stack, found = set(), [phi], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        found.append(node)
+        if isinstance(node, GoalAssignment):
+            stack.extend(goal for _, goal in node)
+        else:
+            stack.extend(
+                child
+                for child in (getattr(node, name) for name in node.__match_args__)
+                if not isinstance(child, str)
+            )
+    return found
+
+
+# Classes with the same fields: a node and its twin hash alike, as the
+# hash covers the fields only, so only the equality check tells them apart.
+_TWINS = {
+    Truth: Falsity, Falsity: Truth, Prop: Var, Var: Prop,
+    And: Or, Or: Implies, Implies: And, Mu: Nu, Nu: Mu,
+    Not: Next, Next: Globally, Globally: Not, Until: PathAnd, PathAnd: Until,
+}
+
+
+def _check_node_caches(phi) -> None:
+    for node in _subterms(phi):
+        if isinstance(node, GoalAssignment):
+            assert hash(node) == hash(node.entries)
+        else:
+            values = tuple(getattr(node, name) for name in node.__match_args__)
+            assert hash(node) == hash(values)
+            assert node == type(node)(*values) and node == node
+            twin = _TWINS.get(type(node))
+            if twin is not None:
+                other = twin(*values)
+                assert hash(other) == hash(node)
+                assert node != other and other != node
+            assert not hasattr(node, "__dict__")
+        assert node.free_vars == _reference_free_vars(node)
+
+
+def _corpus_formulas() -> list:
+    return [
+        parse_state_formula(text)
+        for case in default_cases()
+        for text in case.formulas.values()
+    ]
+
+
+def test_node_caches_on_corpus_formulas_and_their_translations():
+    for phi in _corpus_formulas():
+        _check_node_caches(phi)
+        _check_node_caches(to_mu(phi))
+
+
+# When the assignment filter gives up on a draw, Hypothesis notes the
+# strategy's repr, which for these recursive strategies passes its 30 kB
+# warning size.
+_LARGE_REPR = pytest.mark.filterwarnings("ignore:Generating overly large repr")
+
+
+@_LARGE_REPR
+@settings(max_examples=200, deadline=None)
+@given(_state_strategy(3, ()))
+def test_node_caches_on_generated_formulas(phi):
+    _check_node_caches(phi)
+    _check_node_caches(desugar(phi))
+    _check_node_caches(to_mu(phi))
+
+
+def test_equal_hash_unequal_fields_compare_unequal():
+    # Var("a") and Prop("a") have the same hash as children of And.
+    left, right = And(Var("a"), P), And(Prop("a"), P)
+    assert hash(left) == hash(right) and left != right
+    assert Mu("z", left) != Mu("z", right)
+    assert ga((Coalition("a"), Next(left))) != ga((Coalition("a"), Next(right)))
+
+
+def test_free_variable_sets_are_shared():
+    z = Var("z")
+    closed = Mu("y", And(P, Var("y")))
+    assert And(z, P).free_vars is z.free_vars
+    assert And(P, z).free_vars is z.free_vars
+    assert Mu("y", z).free_vars is z.free_vars
+    assert Or(closed, Q).free_vars is P.free_vars
+    assert Strategic(ga((Coalition("a"), Next(z)))).free_vars is z.free_vars
+
+
+@pytest.mark.parametrize(
+    "node",
+    [TRUE, P, Var("z"), Not(P), And(P, Q), Mu("z", Var("z")), Next(P),
+     Until(P, Q), Strategic(ga((Coalition("a"), Next(P)))), ga()],
+    ids=repr,
+)
+def test_nodes_are_immutable(node):
+    fields = getattr(node, "__match_args__", ("entries",))
+    for name in ("_hash", "free_vars", "extra") + fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, P)
+
+
+def test_copies_and_pickles_are_equal():
+    for phi in _corpus_formulas():
+        mu = to_mu(phi)
+        for copied in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert copied == mu and hash(copied) == hash(mu)
+            assert copied.free_vars == mu.free_vars
+
+
+# -- the scanner against the regex-per-token reference -----------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<op><<|>>|->|&&|[{}();,.!&|])|(?P<word>[A-Za-z0-9_]+)"
+)
+_REFERENCE_RESERVED = frozenset(("true", "false", "mu", "nu", "X", "G", "U"))
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """One anchored regex match per token, as (kind, text, position)."""
+    tokens = []
+    index = 0
+    while index < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, index)
+        if match is None:
+            raise FormulaSyntaxError("unexpected character %r" % text[index], index)
+        if match.lastgroup == "op":
+            tokens.append((match.group(), match.group(), index))
+        elif match.lastgroup == "word":
+            word = match.group()
+            kind = word if word in _REFERENCE_RESERVED else "ident"
+            tokens.append((kind, word, index))
+        index = match.end()
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
+
+
+def _scan_outcome(scan, text: str):
+    try:
+        return [tuple(token) for token in scan(text)]
+    except FormulaSyntaxError as error:
+        return str(error), error.position
+
+
+_MUTANTS = " \t\n$#@%^*+=?/\\'\"`~[]<>-.,;:!&|(){}_09azXGUé\u00a0\u2028"
+
+
+@st.composite
+def _mutated_text(draw):
+    text = format_state(draw(_state_strategy(2, ())))
+    index = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(_MUTANTS))
+    how = draw(st.sampled_from(("replace", "insert", "delete")))
+    if how == "insert" or index == len(text):
+        return text[:index] + char + text[index:]
+    if how == "replace":
+        return text[:index] + char + text[index + 1:]
+    return text[:index] + text[index + 1:]
+
+
+@_LARGE_REPR
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_state_strategy(3, ()).map(format_state), _mutated_text()))
+def test_scanner_agrees_with_reference(text):
+    assert _scan_outcome(_tokenize, text) == _scan_outcome(_reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "   ", "p $", "p  $q", "$", "p & q\u00e9", "<<{a}->Xp>>\t", "a\u00a0b"]
+)
+def test_scanner_edge_cases(text):
+    assert _scan_outcome(_tokenize, text) == _scan_outcome(_reference_tokenize, text)

@@ -625,59 +625,6 @@ def polarity_violations(phi: StateFormula) -> list[str]:
     return messages
 
 
-def substitute(phi: StateFormula, name: str, replacement: StateFormula) -> StateFormula:
-    """Replace free occurrences of a fixpoint variable.
-
-    No capture avoidance is attempted; callers substitute closed formulas
-    or use fresh variable names.
-    """
-    if isinstance(phi, Var):
-        return replacement if phi.name == name else phi
-    if isinstance(phi, (Truth, Falsity, Prop)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, name, replacement))
-    if isinstance(phi, And):
-        return And(
-            substitute(phi.left, name, replacement),
-            substitute(phi.right, name, replacement),
-        )
-    if isinstance(phi, Or):
-        return Or(
-            substitute(phi.left, name, replacement),
-            substitute(phi.right, name, replacement),
-        )
-    if isinstance(phi, Implies):
-        return Implies(
-            substitute(phi.left, name, replacement),
-            substitute(phi.right, name, replacement),
-        )
-    if isinstance(phi, Strategic):
-        def on_goal(goal: PathFormula) -> PathFormula:
-            if isinstance(goal, Next):
-                return Next(substitute(goal.body, name, replacement))
-            if isinstance(goal, Until):
-                return Until(
-                    substitute(goal.left, name, replacement),
-                    substitute(goal.right, name, replacement),
-                )
-            if isinstance(goal, Globally):
-                return Globally(substitute(goal.body, name, replacement))
-            return PathAnd(on_goal(goal.left), on_goal(goal.right))
-
-        return Strategic(
-            GoalAssignment(
-                (coalition, on_goal(goal)) for coalition, goal in phi.assignment
-            )
-        )
-    if isinstance(phi, (Mu, Nu)):
-        if phi.var == name:
-            return phi
-        body = substitute(phi.body, name, replacement)
-        return Mu(phi.var, body) if isinstance(phi, Mu) else Nu(phi.var, body)
-    raise TypeError("not a state formula: %r" % (phi,))
-
-
 _LEVEL_BINDER = 0
 _LEVEL_IMPLIES = 1
 _LEVEL_OR = 2

@@ -30,7 +30,7 @@ from .formulas import (
     strategic,
 )
 from .models import ConcurrentGameModel
-from .strategies import FiniteStrategyProfile, eval_on_lasso, play_lasso
+from .strategies import FiniteStrategyProfile, play_goals
 from .transforms import conjoin, negate
 
 
@@ -107,12 +107,11 @@ def partition_outcomes(
     assignment: GoalAssignment,
 ) -> OutcomePartition:
     """Evaluate every supported goal on the profile's induced play."""
-    lasso = play_lasso(model, state, profile)
-    evaluator = Evaluator(model)
+    holds = play_goals(Evaluator(model), state, profile, assignment)
     winning = []
     losing = []
-    for coalition, goal in assignment:
-        if eval_on_lasso(evaluator, lasso, goal):
+    for (coalition, _), won in zip(assignment, holds):
+        if won:
             winning.append(coalition)
         else:
             losing.append(coalition)
@@ -334,6 +333,7 @@ def _first_step_improves(model, state, profile, agent, goal) -> bool:
 
 def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
     evaluator = Evaluator(model)
+    own = GoalAssignment([(Coalition((agent,)), goal)])
     choice_sets = [model.actions_of(s, agent) for s in model.states]
     for choices in product(*choice_sets):
         tables = dict(profile.tables)
@@ -341,7 +341,6 @@ def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
             (s,): action for s, action in zip(model.states, choices)
         }
         candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
-        lasso = play_lasso(model, state, candidate)
-        if eval_on_lasso(evaluator, lasso, goal):
+        if all(play_goals(evaluator, state, candidate, own)):
             return True
     return False

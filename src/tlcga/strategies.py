@@ -184,10 +184,9 @@ def profile_from_json_dict(data) -> FiniteStrategyProfile:
 
 
 def _goal_extensions(
-    model: ConcurrentGameModel, assignment: GoalAssignment
-) -> tuple[dict[StateFormula, frozenset[str]], Effectivity]:
-    """The goals' state subformula extensions, and the query's index."""
-    evaluator = Evaluator(model)
+    evaluator: Evaluator, assignment: GoalAssignment
+) -> dict[StateFormula, frozenset[str]]:
+    """The extensions of the goals' state subformulas."""
     extensions: dict[StateFormula, frozenset[str]] = {}
 
     def record(phi: StateFormula) -> None:
@@ -203,7 +202,7 @@ def _goal_extensions(
                 record(part.right)
             elif isinstance(part, Globally):
                 record(part.body)
-    return extensions, evaluator.effectivity
+    return extensions
 
 
 class _Closure:
@@ -351,6 +350,20 @@ def _check_goal_on_product(
     return failures
 
 
+def _completed(index, state, mode, lookup, coalition) -> _Closure:
+    """The coalition's closure under a total lookup, grown to completion."""
+    closure = _Closure(index, state, mode, coalition)
+    missing = closure.grow(lookup)
+    if missing is not None:
+        # Only a table entry that is JSON null gets here.
+        agent, memory = missing
+        raise InvalidWitnessError(
+            "action None of agent %s unavailable at %s"
+            % (agent, memory_state(memory))
+        )
+    return closure
+
+
 def verify_witness(
     model: ConcurrentGameModel,
     state: str,
@@ -363,27 +376,44 @@ def verify_witness(
     while everyone else ranges over all actions; the goal must hold on
     every play of that restricted system.
     """
-    extensions, index = _goal_extensions(model, assignment)
+    evaluator = Evaluator(model)
+    extensions = _goal_extensions(evaluator, assignment)
+    index = evaluator.effectivity
     return _verify(index, state, profile.mode, profile.action, assignment, extensions)
 
 
 def _verify(index, state, mode, lookup, assignment, extensions):
     failures: list[str] = []
     for coalition, goal in assignment:
-        closure = _Closure(index, state, mode, coalition)
-        missing = closure.grow(lookup)
-        if missing is not None:
-            # Only a table entry that is JSON null gets here.
-            agent, memory = missing
-            raise InvalidWitnessError(
-                "action None of agent %s unavailable at %s"
-                % (agent, memory_state(memory))
-            )
+        closure = _completed(index, state, mode, lookup, coalition)
         for failure in _check_goal_on_product(
             goal, closure.root, closure.order, closure.edges, extensions
         ):
             failures.append("coalition %s: %s" % (coalition, failure))
     return not failures, failures
+
+
+def play_goals(
+    evaluator: Evaluator,
+    state: str,
+    profile: FiniteStrategyProfile,
+    assignment: GoalAssignment,
+) -> tuple[bool, ...]:
+    """Whether each goal, in assignment order, holds on the play the
+    profile induces when every agent follows it.
+
+    That play is the closure of the grand coalition: with every action
+    fixed, each memory has exactly one successor.
+    """
+    index = evaluator.effectivity
+    closure = _completed(index, state, profile.mode, profile.action, index.model.agents)
+    extensions = _goal_extensions(evaluator, assignment)
+    return tuple(
+        not _check_goal_on_product(
+            goal, closure.root, closure.order, closure.edges, extensions
+        )
+        for _, goal in assignment
+    )
 
 
 @dataclass(frozen=True)
@@ -457,7 +487,9 @@ def find_witness(
     """
     if not model.has_state(state):
         raise ValueError("unknown state %s" % state)
-    extensions, index = _goal_extensions(model, assignment)
+    evaluator = Evaluator(model)
+    extensions = _goal_extensions(evaluator, assignment)
+    index = evaluator.effectivity
     goals = [goal for _, goal in assignment]
     closures = [
         _Closure(index, state, mode, coalition) for coalition in assignment.support()
@@ -520,79 +552,6 @@ def find_witness(
 
     witness = search()
     return WitnessSearchResult(witness, exhausted if witness is None else True, steps)
-
-
-@dataclass(frozen=True)
-class Lasso:
-    """The single play induced when every agent follows the profile."""
-
-    states: tuple[str, ...]
-    profiles: tuple[tuple[str, ...], ...]
-    cycle_start: int
-
-    def state_at(self, position: int) -> str:
-        if position < len(self.states):
-            return self.states[position]
-        cycle = self.states[self.cycle_start:]
-        offset = (position - self.cycle_start) % len(cycle)
-        return cycle[offset]
-
-
-def play_lasso(
-    model: ConcurrentGameModel, state: str, profile: FiniteStrategyProfile
-) -> Lasso:
-    """Follow the full profile until the joint memory repeats."""
-    memory = initial_memory(state)
-    visited: dict[tuple, int] = {}
-    states: list[str] = []
-    profiles: list[tuple[str, ...]] = []
-    while memory not in visited:
-        visited[memory] = len(states)
-        current = memory_state(memory)
-        states.append(current)
-        joint = tuple(
-            profile.action(agent, memory) for agent in model.agents
-        )
-        for agent, action in zip(model.agents, joint):
-            if action not in model.actions_of(current, agent):
-                raise InvalidWitnessError(
-                    "action %s of agent %s unavailable at %s"
-                    % (action, agent, current)
-                )
-        profiles.append(joint)
-        memory = update_memory(profile.mode, memory, joint, model.out(current, joint))
-    return Lasso(tuple(states), tuple(profiles), visited[memory])
-
-
-def eval_on_lasso(evaluator: Evaluator, lasso: Lasso, goal: PathFormula) -> bool:
-    """Truth of a path goal on the ultimately periodic play of the
-    evaluator's model."""
-    cache: dict[StateFormula, frozenset[str]] = {}
-
-    def holds(phi: StateFormula, position: int) -> bool:
-        if phi not in cache:
-            cache[phi] = evaluator.extension(to_mu(phi))
-        return lasso.state_at(position) in cache[phi]
-
-    horizon = len(lasso.states)
-    for part in path_conjuncts(goal):
-        if isinstance(part, Next):
-            if not holds(part.body, 1):
-                return False
-        elif isinstance(part, Globally):
-            if not all(holds(part.body, i) for i in range(horizon)):
-                return False
-        elif isinstance(part, Until):
-            for position in range(horizon):
-                if holds(part.right, position):
-                    break
-                if not holds(part.left, position):
-                    return False
-            else:
-                return False
-        else:
-            raise TypeError("not a path goal: %r" % (part,))
-    return True
 
 
 def atl_check(

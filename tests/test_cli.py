@@ -14,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from tlcga.cli import main
 from tlcga.corpus import build_case, default_cases, write_case
-from tlcga.models import InvalidModelError, from_json_dict, load_model
+from tlcga.bisim import greatest_bisimulation
+from tlcga.models import (
+    InvalidModelError,
+    disjoint_union,
+    from_json_dict,
+    load_model,
+    save_model,
+)
 from tlcga.parser import parse_state_formula
 
 
@@ -326,6 +333,50 @@ class TestModelCommands:
     def test_bisim_pair_listing(self, capsys):
         _, out, _ = run(capsys, "bisim", "--corpus-case", "exampleB")
         assert "pairs:" in out
+
+    @pytest.mark.parametrize(
+        "case", default_cases(), ids=lambda case: case.name
+    )
+    def test_bisim_verdicts_match_the_greatest_bisimulation(
+        self, capsys, tmp_path, case
+    ):
+        # Every pair of the model's states and `ghost`, within the model,
+        # and each state against its own copies, the start state's copies
+        # and `ghost` in the model's scos split.
+        model = case.model
+        split, copies = model.scos()
+        save_model(model, tmp_path / "model.json")
+        save_model(split, tmp_path / "split.json")
+        within = greatest_bisimulation(model)
+        union, left_map, right_map = disjoint_union(model, split)
+        in_union = greatest_bisimulation(union)
+        across = {
+            (a, b) for a in model.states for b in split.states
+            if (left_map[a], right_map[b]) in in_union
+        }
+        other = ("--other", str(tmp_path / "split.json"))
+        names = list(model.states) + ["ghost"]
+        queries = []
+        for i, first in enumerate(names):
+            for second in names[i:]:
+                queries.append(((), first, second, within))
+            others = [*copies.get(first, ()), *copies[case.start], "ghost"]
+            for second in dict.fromkeys(others):
+                queries.append((other, first, second, across))
+        for other, first, second, relation in queries:
+            code, out, err = run(
+                capsys, "bisim", "--model", str(tmp_path / "model.json"), *other,
+                "--state", first, "--other-state", second,
+            )
+            label = (other, first, second)
+            if "ghost" in (first, second):
+                assert (code, out) == (2, ""), label
+                assert err.startswith("invalid input: 'ghost'"), label
+                continue
+            related = (first, second) in relation
+            assert code == 0, label
+            assert ("bisimilar: %s" % str(related).lower()) in out.splitlines(), label
+            assert ("distinguished by:" in out) == (not related), label
 
 
 class TestFormulaCommands:

@@ -1,8 +1,11 @@
 """Solution-concept constructors: goal algebra, partitions, stability."""
 
+from dataclasses import dataclass
+from itertools import product
+
 import pytest
 
-from tlcga.checking import check
+from tlcga.checking import Evaluator, check
 from tlcga.formulas import (
     And,
     Coalition,
@@ -10,17 +13,22 @@ from tlcga.formulas import (
     Globally,
     Next,
     Not,
+    PathFormula,
     Prop,
+    StateFormula,
     TRIVIAL_GOAL,
     TRUE,
     Until,
     make_path_and,
+    path_conjuncts,
     strategic,
 )
 from tlcga.models import ConcurrentGameModel
+from tlcga.sampling import make_rng, random_goal, random_model, random_oracle_query
 from tlcga.stability import (
     GoalNegationError,
     OutcomePartition,
+    _first_step_improves,
     check_coequilibrium,
     coalitional_ga,
     coequilibrium_ga,
@@ -37,10 +45,124 @@ from tlcga.stability import (
 )
 from tlcga.strategies import (
     FiniteStrategyProfile,
+    InvalidWitnessError,
     MemoryMode,
+    PartialStrategyError,
     POSITIONAL,
+    initial_memory,
+    memory_state,
+    parse_rendered_memory,
+    play_goals,
+    update_memory,
     verify_witness,
 )
+from tlcga.transforms import to_mu
+
+
+# The walk along the single play of a full profile that the stability
+# layer used before it read the grand coalition's closure (`play_goals`),
+# kept as an independent reference.
+
+@dataclass(frozen=True)
+class Lasso:
+    """The single play induced when every agent follows the profile."""
+
+    states: tuple[str, ...]
+    profiles: tuple[tuple[str, ...], ...]
+    cycle_start: int
+
+    def state_at(self, position: int) -> str:
+        if position < len(self.states):
+            return self.states[position]
+        cycle = self.states[self.cycle_start:]
+        offset = (position - self.cycle_start) % len(cycle)
+        return cycle[offset]
+
+
+def play_lasso(
+    model: ConcurrentGameModel, state: str, profile: FiniteStrategyProfile
+) -> Lasso:
+    """Follow the full profile until the joint memory repeats."""
+    memory = initial_memory(state)
+    visited: dict[tuple, int] = {}
+    states: list[str] = []
+    profiles: list[tuple[str, ...]] = []
+    while memory not in visited:
+        visited[memory] = len(states)
+        current = memory_state(memory)
+        states.append(current)
+        joint = tuple(
+            profile.action(agent, memory) for agent in model.agents
+        )
+        for agent, action in zip(model.agents, joint):
+            if action not in model.actions_of(current, agent):
+                raise InvalidWitnessError(
+                    "action %s of agent %s unavailable at %s"
+                    % (action, agent, current)
+                )
+        profiles.append(joint)
+        memory = update_memory(profile.mode, memory, joint, model.out(current, joint))
+    return Lasso(tuple(states), tuple(profiles), visited[memory])
+
+
+def eval_on_lasso(evaluator: Evaluator, lasso: Lasso, goal: PathFormula) -> bool:
+    """Truth of a path goal on the ultimately periodic play of the
+    evaluator's model."""
+    cache: dict[StateFormula, frozenset[str]] = {}
+
+    def holds(phi: StateFormula, position: int) -> bool:
+        if phi not in cache:
+            cache[phi] = evaluator.extension(to_mu(phi))
+        return lasso.state_at(position) in cache[phi]
+
+    horizon = len(lasso.states)
+    for part in path_conjuncts(goal):
+        if isinstance(part, Next):
+            if not holds(part.body, 1):
+                return False
+        elif isinstance(part, Globally):
+            if not all(holds(part.body, i) for i in range(horizon)):
+                return False
+        elif isinstance(part, Until):
+            for position in range(horizon):
+                if holds(part.right, position):
+                    break
+                if not holds(part.left, position):
+                    return False
+            else:
+                return False
+        else:
+            raise TypeError("not a path goal: %r" % (part,))
+    return True
+
+
+def lasso_unilateral_improvement(model, state, profile, assignment):
+    """`has_unilateral_improvement` with every play judged on its lasso."""
+    goals = individual_goals(assignment)
+    lasso = play_lasso(model, state, profile)
+    evaluator = Evaluator(model)
+    losers = [c for c, goal in assignment if not eval_on_lasso(evaluator, lasso, goal)]
+    for agent in sorted(next(iter(c)) for c in losers if len(c) == 1):
+        goal = goals[agent]
+        if all(isinstance(part, Next) for part in path_conjuncts(goal)):
+            if _first_step_improves(model, state, profile, agent, goal):
+                return agent
+            continue
+        if profile.mode.kind != "positional":
+            raise ValueError(
+                "long-term deviations are only enumerated for positional"
+                " profiles, not %s" % profile.mode
+            )
+        evaluator = Evaluator(model)
+        choice_sets = [model.actions_of(s, agent) for s in model.states]
+        for choices in product(*choice_sets):
+            tables = dict(profile.tables)
+            tables[agent] = {(s,): action for s, action in zip(model.states, choices)}
+            candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
+            if eval_on_lasso(evaluator, play_lasso(model, state, candidate), goal):
+                return agent
+    return None
+
 
 P = Prop("p")
 Q = Prop("q")
@@ -430,3 +552,139 @@ class TestCharacterizationCoherence:
             )
             assert stable == (choice == "stay")
             assert check(model, "g", strategic(nash)) == stable
+
+
+def reachable_memories(model, state, mode):
+    """Every memory some play from `state` reaches, in first-seen order."""
+    order = [initial_memory(state)]
+    seen = set(order)
+    for memory in order:
+        here = memory_state(memory)
+        for profile in model.profiles(here):
+            target = update_memory(mode, memory, profile, model.out(here, profile))
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return order
+
+
+FAULTS = ("missing", "null", "unavailable")
+
+
+def random_tables(rng, model, memories, faults=()):
+    """Per-agent tables over `memories`. Each kind of fault named in
+    `faults` ("missing", "null", "unavailable") hits an entry with
+    probability 0.1."""
+    tables = {}
+    for agent in model.agents:
+        table = tables[agent] = {}
+        for memory in memories:
+            available = model.actions_of(memory_state(memory), agent)
+            roll = rng.random()
+            fault = faults[int(roll * 10)] if roll < 0.1 * len(faults) else None
+            if fault == "null":
+                table[memory] = None
+            elif fault == "unavailable":
+                table[memory] = "m%d" % len(available)
+            elif fault is None:
+                table[memory] = rng.choice(available)
+    return tables
+
+
+def outcome(call, *args):
+    """("value", result), or ("raised", type, message) for what it raised."""
+    try:
+        return "value", call(*args)
+    except (ValueError, KeyError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def closure_fault(model, profile, lasso_fault):
+    """What the closure raises where the lasso raised `lasso_fault`.
+
+    Both stop at the first memory of the play with a faulty entry. There
+    the lasso reports a missing entry before any null or unavailable one,
+    while the closure reports the first faulty agent in agent order.
+    """
+    _, kind, message = lasso_fault
+    if kind is not PartialStrategyError:
+        return lasso_fault
+    memory = parse_rendered_memory(message.split(" for memory ", 1)[1])
+    for agent in model.agents:
+        table = profile.tables[agent]
+        if memory not in table:
+            return lasso_fault
+        action = table[memory]
+        state = memory_state(memory)
+        if action not in model.actions_of(state, agent):
+            return "raised", InvalidWitnessError, (
+                "action %s of agent %s unavailable at %s" % (action, agent, state)
+            )
+    raise AssertionError("no faulty entry at %r" % (memory,))
+
+
+class TestPlayGoalsAgreesWithLasso:
+    """`play_goals` and `has_unilateral_improvement` give the answers the
+    lasso walk gives, and raise what it raises up to the fault order that
+    `closure_fault` states."""
+
+    @staticmethod
+    def lasso_goals(model, state, profile, assignment):
+        lasso = play_lasso(model, state, profile)
+        evaluator = Evaluator(model)
+        return tuple(eval_on_lasso(evaluator, lasso, goal) for _, goal in assignment)
+
+    @staticmethod
+    def closure_goals(model, state, profile, assignment):
+        return play_goals(Evaluator(model), state, profile, assignment)
+
+    @pytest.mark.parametrize("seed", [48611, 48612])
+    def test_random_profiles_over_reachable_memories(self, seed):
+        rng = make_rng(seed)
+        seen = {"judged": 0, "raised": 0, "reordered": 0}
+        modes = set()
+        for draw in range(600):
+            model, state, assignment, mode = random_oracle_query(rng)
+            memories = reachable_memories(model, state, mode)
+            faults = FAULTS if draw % 2 else ()
+            profile = FiniteStrategyProfile(
+                mode, random_tables(rng, model, memories, faults)
+            )
+            args = (model, state, profile, assignment)
+            expected = outcome(self.lasso_goals, *args)
+            found = outcome(self.closure_goals, *args)
+            modes.add(str(mode))
+            if expected[0] == "value":
+                seen["judged"] += 1
+                assert found == expected, (seed, draw)
+                continue
+            seen["raised"] += 1
+            wanted = closure_fault(model, profile, expected)
+            seen["reordered"] += wanted != expected
+            assert found == wanted, (seed, draw)
+        assert modes == {"positional", "path:2", "play:2"}
+        assert seen["judged"] >= 300 and min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("seed", [48621, 48622])
+    def test_unilateral_improvement_on_positional_profiles(self, seed):
+        rng = make_rng(seed)
+        answers = set()
+        for draw in range(150):
+            model = random_model(
+                rng, max_states=4, max_agents=3, max_actions=3, max_props=1
+            )
+            assignment = GoalAssignment(
+                [((agent,), random_goal(rng, model.props_used()))
+                 for agent in model.agents]
+            )
+            state = rng.choice(model.states)
+            # One kind of fault at a time: the fault order differs only
+            # where a missing entry meets a null or unavailable one.
+            faults = (FAULTS[draw % 3],) if draw % 4 == 3 else ()
+            tables = random_tables(rng, model, [(s,) for s in model.states], faults)
+            args = (model, state, FiniteStrategyProfile(POSITIONAL, tables), assignment)
+            expected = outcome(lasso_unilateral_improvement, *args)
+            assert outcome(has_unilateral_improvement, *args) == expected, (seed, draw)
+            answers.add(expected[:2] if expected[0] == "value" else expected[1])
+        assert {("value", None), ("value", "a"), PartialStrategyError,
+                InvalidWitnessError} <= answers, answers

@@ -2,6 +2,8 @@
 
 import pytest
 
+from test_stability import eval_on_lasso, play_lasso
+
 from tlcga.checking import Evaluator, check, extension_of
 from tlcga.corpus import (
     build_case,
@@ -11,28 +13,27 @@ from tlcga.corpus import (
     example_b_gamma_prime,
     password,
 )
-from tlcga.formulas import Globally, Next, Prop, Strategic, Until
+from tlcga.formulas import GoalAssignment, Globally, Next, Prop, Strategic, Until
 from tlcga.parser import parse_path_formula, parse_state_formula
 from tlcga.sampling import DEFAULT_SEED, make_rng, random_oracle_query
 from tlcga.strategies import (
     FiniteStrategyProfile,
     InvalidWitnessError,
-    Lasso,
     MemoryMode,
     PartialStrategyError,
     POSITIONAL,
     WitnessSearchResult,
     _check_goal_on_product,
+    _completed,
     _goal_extensions,
     atl_check,
     atl_holds,
-    eval_on_lasso,
     find_witness,
     initial_memory,
     memory_sort_key,
     memory_state,
     parse_memory_mode,
-    play_lasso,
+    play_goals,
     render_memory,
     update_memory,
     verify_witness,
@@ -81,7 +82,9 @@ def reference_closure(index, start, mode, coalition, lookup):
 
 
 def reference_find_witness(model, state, assignment, mode, limit):
-    extensions, index = _goal_extensions(model, assignment)
+    evaluator = Evaluator(model)
+    extensions = _goal_extensions(evaluator, assignment)
+    index = evaluator.effectivity
     support = assignment.support()
     agents_involved = sorted({a for c in support for a in c})
     decisions = {}
@@ -448,7 +451,24 @@ class TestOracleAgreesWithChecker:
             assert check(case.model, case.start, formula) is True
 
 
+def induced_closure(model, state, profile):
+    """The grand coalition's closure: the memories of the induced play."""
+    index = Evaluator(model).effectivity
+    return _completed(index, state, profile.mode, profile.action, model.agents)
+
+
+def on_the_play(model, state, profile, goal_text):
+    """`play_goals` for one goal."""
+    goal = parse_path_formula(goal_text)
+    assignment = GoalAssignment({model.agents: goal})
+    (holds,) = play_goals(Evaluator(model), state, profile, assignment)
+    return holds
+
+
 class TestInducedPlay:
+    """The induced play through the lasso reference and through the grand
+    coalition's closure that `play_goals` judges."""
+
     def test_lasso_of_a_positional_profile(self):
         case = example_a()
         profile = FiniteStrategyProfile(
@@ -462,6 +482,9 @@ class TestInducedPlay:
         assert lasso.states == ("s", "s1")
         assert lasso.cycle_start == 0
         assert lasso.state_at(5) == "s1"
+        closure = induced_closure(case.model, "s", profile)
+        assert closure.order == [("s",), ("s1",)]
+        assert closure.edges == {("s",): [("s1",)], ("s1",): [("s",)]}
 
     def test_goal_evaluation_on_the_lasso(self):
         case = example_a()
@@ -474,13 +497,17 @@ class TestInducedPlay:
         )
         lasso = play_lasso(case.model, "s", profile)
         evaluator = Evaluator(case.model)
-        assert eval_on_lasso(evaluator, lasso, parse_path_formula("(p U q)"))
-        assert eval_on_lasso(evaluator, lasso, parse_path_formula("X q"))
-        assert not eval_on_lasso(evaluator, lasso, parse_path_formula("G p"))
-        assert eval_on_lasso(evaluator, lasso, parse_path_formula("G (p | q)"))
-        assert not eval_on_lasso(
-            evaluator, lasso, parse_path_formula("(true U !(p | q))")
-        )
+        goals = {
+            "(p U q)": True,
+            "X q": True,
+            "G p": False,
+            "G (p | q)": True,
+            "(true U !(p | q))": False,
+        }
+        for text, holds in goals.items():
+            goal = parse_path_formula(text)
+            assert eval_on_lasso(evaluator, lasso, goal) == holds, text
+            assert on_the_play(case.model, "s", profile, text) == holds, text
 
     def test_memoryful_lassos_unroll_before_looping(self):
         case = example_a()
@@ -505,6 +532,31 @@ class TestInducedPlay:
         assert eval_on_lasso(
             Evaluator(case.model), lasso, parse_path_formula("(true U !(p | q))")
         )
+        closure = induced_closure(case.model, "s", profile)
+        states = [memory_state(memory) for memory in closure.order]
+        assert states[:4] == ["s", "s1", "s", "s2"]
+        assert all(len(targets) == 1 for targets in closure.edges.values())
+        assert on_the_play(case.model, "s", profile, "(true U !(p | q))")
+
+    def test_a_missing_entry_is_reported_after_an_unavailable_one(self):
+        # At s, agent a names an action it does not have and agent b has
+        # no entry. The lasso reference reports b, the first agent without
+        # an entry; the closure, like `verify_witness`, reports a, the
+        # first faulty agent.
+        case = example_a()
+        profile = FiniteStrategyProfile(
+            POSITIONAL, {"a": {("s",): "a3"}, "b": {}}
+        )
+        with pytest.raises(PartialStrategyError) as lasso_fault:
+            play_lasso(case.model, "s", profile)
+        assert str(lasso_fault.value) == "agent b has no action for memory s"
+        message = "action a3 of agent a unavailable at s"
+        with pytest.raises(InvalidWitnessError) as fault:
+            on_the_play(case.model, "s", profile, "X q")
+        assert str(fault.value) == message
+        with pytest.raises(InvalidWitnessError) as fault:
+            verify_witness(case.model, "s", profile, assignment_of(case, "gammaA"))
+        assert str(fault.value) == message
 
 
 class TestAtlFixpoints:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -303,11 +304,63 @@ class ConcurrentGameModel:
             },
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        """The model's content id: 16 hex digits of a SHA-256.
+
+        The hashed bytes are `to_json_dict()` as `json.dumps` writes it
+        with `sort_keys=True`, `separators=(",", ":")` and the default
+        `ensure_ascii`. They are fed to the hash one state at a time,
+        without building the document.
+        """
+        quote = encode_basestring_ascii
+        agents = self.agents
+        keys = [quote(agent) + ":" for agent in agents]
+        ids = sorted(self.states)
+        digest = hashlib.sha256()
+        digest.update(b'{"actions":{')
+        for i, state in enumerate(ids):
+            acts = ",".join([
+                key + "[" + ",".join(map(quote, self.actions_of(state, agent))) + "]"
+                for key, agent in zip(keys, agents)
+            ])
+            digest.update(
+                (("," if i else "") + quote(state) + ":{" + acts + "}").encode()
+            )
+        digest.update(
+            ('},"agents":[' + ",".join(map(quote, agents)) + '],"states":[').encode()
+        )
+        for i, state in enumerate(self.states):
+            props = ",".join(map(quote, sorted(self._props_at[state])))
+            digest.update(
+                (("," if i else "") + '{"id":' + quote(state) + ',"props":['
+                 + props + "]}").encode()
+            )
+        digest.update(b'],"transitions":{')
+        outcome = self.outcome
+        prefixes: dict[tuple[str, ...], str] = {}
+        try:
+            for i, state in enumerate(ids):
+                entries = []
+                for profile in self.profiles(state):
+                    prefix = prefixes.get(profile)
+                    if prefix is None:
+                        prefix = prefixes[profile] = '{"profile":{' + ",".join([
+                            key + quote(action) for key, action in zip(keys, profile)
+                        ]) + '},"to":'
+                    entries.append(prefix + quote(outcome[(state, profile)]) + "}")
+                digest.update(
+                    (("," if i else "") + quote(state) + ":[" + ",".join(entries)
+                     + "]").encode()
+                )
+        except KeyError:
+            # Raise what `out` raises for the first missing outcome in
+            # model order, as `to_json_dict` does.
+            for state in self.states:
+                for profile in self.profiles(state):
+                    self.out(state, profile)
+            raise
+        digest.update(b"}}")
+        return digest.hexdigest()[:16]
 
 
 class Blocks(NamedTuple):

@@ -30,7 +30,12 @@ from .formulas import (
     strategic,
 )
 from .models import ConcurrentGameModel
-from .strategies import FiniteStrategyProfile, play_goals
+from .strategies import (
+    FiniteStrategyProfile,
+    _goal_extensions,
+    _play_goals,
+    play_goals,
+)
 from .transforms import conjoin, negate
 
 
@@ -334,6 +339,8 @@ def _first_step_improves(model, state, profile, agent, goal) -> bool:
 def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
     evaluator = Evaluator(model)
     own = GoalAssignment([(Coalition((agent,)), goal)])
+    # The goal and the model are fixed; only the deviator's table varies.
+    extensions = _goal_extensions(evaluator, own)
     choice_sets = [model.actions_of(s, agent) for s in model.states]
     for choices in product(*choice_sets):
         tables = dict(profile.tables)
@@ -341,6 +348,6 @@ def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
             (s,): action for s, action in zip(model.states, choices)
         }
         candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
-        if all(play_goals(evaluator, state, candidate, own)):
+        if all(_play_goals(evaluator.effectivity, state, candidate, own, extensions)):
             return True
     return False

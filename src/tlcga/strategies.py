@@ -11,7 +11,7 @@ exact for the whole memory class unless the step budget interrupts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .checking import Evaluator
 from .formulas import (
@@ -299,32 +299,29 @@ class _Closure:
         return None
 
 
-def _check_goal_on_product(
+def _goal_failures(
     goal: PathFormula,
     root: tuple,
     order: list[tuple],
     edges: dict[tuple, list[tuple]],
     extensions: Mapping[StateFormula, frozenset[str]],
-) -> list[str]:
-    failures = []
+) -> Iterator[tuple[PathFormula, tuple]]:
+    """The goal's conjuncts that fail on a closure, in order, each with
+    the memory that breaks it: the successor an `X` goal fails toward,
+    the memory a `G` goal fails at, the root for a `U` goal.
+    """
     for part in path_conjuncts(goal):
         if isinstance(part, Next):
             target_set = extensions[part.body]
             for successor in edges[root]:
                 if memory_state(successor) not in target_set:
-                    failures.append(
-                        "one-step goal X %s fails toward %s"
-                        % (part.body, memory_state(successor))
-                    )
+                    yield part, successor
                     break
         elif isinstance(part, Globally):
             target_set = extensions[part.body]
             for memory in order:
                 if memory_state(memory) not in target_set:
-                    failures.append(
-                        "invariant goal G %s fails at %s"
-                        % (part.body, render_memory(memory))
-                    )
+                    yield part, memory
                     break
         elif isinstance(part, Until):
             left_set = extensions[part.left]
@@ -344,10 +341,22 @@ def _check_goal_on_product(
                         satisfied.add(memory)
                         changed = True
             if root not in satisfied:
-                failures.append("eventuality goal (%s U %s) fails" % (part.left, part.right))
+                yield part, root
         else:
             raise TypeError("not a path goal: %r" % (part,))
-    return failures
+
+
+def _holds_on_product(goal, root, order, edges, extensions) -> bool:
+    """Whether no conjunct of `goal` fails; stops at the first failure."""
+    return next(_goal_failures(goal, root, order, edges, extensions), None) is None
+
+
+def _describe_failure(part: PathFormula, memory: tuple) -> str:
+    if isinstance(part, Next):
+        return "one-step goal X %s fails toward %s" % (part.body, memory_state(memory))
+    if isinstance(part, Globally):
+        return "invariant goal G %s fails at %s" % (part.body, render_memory(memory))
+    return "eventuality goal (%s U %s) fails" % (part.left, part.right)
 
 
 def _completed(index, state, mode, lookup, coalition) -> _Closure:
@@ -386,10 +395,12 @@ def _verify(index, state, mode, lookup, assignment, extensions):
     failures: list[str] = []
     for coalition, goal in assignment:
         closure = _completed(index, state, mode, lookup, coalition)
-        for failure in _check_goal_on_product(
+        for part, memory in _goal_failures(
             goal, closure.root, closure.order, closure.edges, extensions
         ):
-            failures.append("coalition %s: %s" % (coalition, failure))
+            failures.append(
+                "coalition %s: %s" % (coalition, _describe_failure(part, memory))
+            )
     return not failures, failures
 
 
@@ -405,13 +416,15 @@ def play_goals(
     That play is the closure of the grand coalition: with every action
     fixed, each memory has exactly one successor.
     """
-    index = evaluator.effectivity
-    closure = _completed(index, state, profile.mode, profile.action, index.model.agents)
     extensions = _goal_extensions(evaluator, assignment)
+    return _play_goals(evaluator.effectivity, state, profile, assignment, extensions)
+
+
+def _play_goals(index, state, profile, assignment, extensions) -> tuple[bool, ...]:
+    """`play_goals` with the goals' extensions already computed."""
+    closure = _completed(index, state, profile.mode, profile.action, index.model.agents)
     return tuple(
-        not _check_goal_on_product(
-            goal, closure.root, closure.order, closure.edges, extensions
-        )
+        _holds_on_product(goal, closure.root, closure.order, closure.edges, extensions)
         for _, goal in assignment
     )
 
@@ -447,9 +460,9 @@ def _refuted(
     if 0 < reached == head:
         return False  # complete at `mark`, so judged before
     if closure.complete:
-        return bool(_check_goal_on_product(
+        return not _holds_on_product(
             goal, closure.root, closure.order, closure.edges, extensions
-        ))
+        )
     for part in path_conjuncts(goal):
         if isinstance(part, Globally):
             body = extensions[part.body]

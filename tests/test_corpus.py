@@ -177,7 +177,7 @@ class TestExampleStructure:
         written = write_case(case, str(tmp_path / "out"))
         assert any(path.endswith("model.json") for path in written)
         model_path = [p for p in written if p.endswith("model.json")][0]
-        assert load_model(model_path).canonical_json() == case.model.canonical_json()
+        assert load_model(model_path).to_json_dict() == case.model.to_json_dict()
         formula_files = [p for p in written if p.endswith(".tlcga")]
         assert len(formula_files) == len(case.formulas)
         for path in formula_files:

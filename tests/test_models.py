@@ -1,8 +1,13 @@
 """Model machinery: validation, out-sets, copy-splitting, serialization."""
 
-import pytest
+import hashlib
+import itertools
+import json
 
-from tlcga.corpus import example_a, example_b
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tlcga.corpus import default_cases, example_a, example_b, sheep_wolves
 from tlcga.models import (
     ConcurrentGameModel,
     InvalidModelError,
@@ -12,6 +17,17 @@ from tlcga.models import (
     load_model,
     save_model,
 )
+from tlcga.sampling import make_rng, random_model
+
+
+def canonical_json(model) -> str:
+    """Reference for `content_hash`: the whole model document, built and
+    written as compact, key-sorted JSON with the default ASCII escaping."""
+    return json.dumps(model.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def reference_hash(model) -> str:
+    return hashlib.sha256(canonical_json(model).encode()).hexdigest()[:16]
 
 
 def tiny_loop():
@@ -151,14 +167,14 @@ class TestSerialization:
     def test_round_trip_preserves_content(self):
         model = example_b().model
         again = from_json_dict(model.to_json_dict())
-        assert again.canonical_json() == model.canonical_json()
+        assert canonical_json(again) == canonical_json(model)
         assert again.content_hash() == model.content_hash()
 
     def test_save_and_load(self, tmp_path):
         model = example_a().model
         path = str(tmp_path / "model.json")
         save_model(model, path)
-        assert load_model(path).canonical_json() == model.canonical_json()
+        assert canonical_json(load_model(path)) == canonical_json(model)
 
     def test_duplicate_transition_is_rejected(self):
         data = tiny_loop().to_json_dict()
@@ -272,3 +288,129 @@ class TestDisjointUnion:
 
 def test_format_profile_lists_agents_in_order():
     assert format_profile(("a", "b"), ("a1", "b")) == "(a=a1, b=b)"
+
+
+def named_model(agents, states, actions, props):
+    """A total model over the given names: every agent has `actions` at
+    every state, profile i leads to state i modulo the state count, and
+    prop j holds at every state whose position is divisible by j + 2,
+    so the second state has none."""
+    outcome = {}
+    for state in states:
+        for i, profile in enumerate(itertools.product(actions, repeat=len(agents))):
+            outcome[(state, profile)] = states[i % len(states)]
+    valuation = {
+        prop: [s for k, s in enumerate(states) if k % (j + 2) == 0]
+        for j, prop in enumerate(props)
+    }
+    return ConcurrentGameModel(
+        agents,
+        states,
+        {state: {agent: actions for agent in agents} for state in states},
+        outcome,
+        valuation,
+    )
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral text, a
+# lone surrogate and the empty string; the reference escapes astral
+# characters as surrogate pairs.
+_AWKWARD = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\x7f", "\u00e9t\u00e9",
+            "\u6cb3", "\U0001d538\U0001f600", "\ud800", "", "plain", "Z", "a b"]
+
+
+class TestContentHash:
+    """`content_hash` hashes the bytes of the reference document."""
+
+    @pytest.mark.parametrize("case", default_cases(), ids=lambda case: case.name)
+    def test_corpus_cases(self, case):
+        assert case.model.content_hash() == reference_hash(case.model)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "wolves_then_sheep"])
+    def test_river_crossing(self, mode):
+        for n in range(1, 6):
+            model = sheep_wolves(n, n, mode).model
+            assert model.content_hash() == reference_hash(model), (n, mode)
+
+    def test_readme_example_and_recipe(self):
+        document = {
+            "agents": ["a", "b"],
+            "states": [{"id": "s", "props": ["p"]}, {"id": "t", "props": []}],
+            "actions": {"s": {"a": ["go", "stay"], "b": ["w"]},
+                        "t": {"a": ["w"], "b": ["w"]}},
+            "transitions": {"s": [{"profile": {"a": "go", "b": "w"}, "to": "t"},
+                                  {"profile": {"a": "stay", "b": "w"}, "to": "s"}],
+                            "t": [{"profile": {"a": "w", "b": "w"}, "to": "t"}]},
+        }
+        text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        recipe = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert from_json_dict(document).content_hash() == recipe == "291e82d354b80ea2"
+
+    @pytest.mark.parametrize("seed", [6101, 6102])
+    def test_random_models_splits_and_unions(self, seed):
+        rng = make_rng(seed)
+        for draw in range(100):
+            model = random_model(rng, max_actions=3)
+            split, _ = model.scos()
+            other = random_model(rng, min_agents=len(model.agents),
+                                 max_agents=len(model.agents))
+            union, _, _ = disjoint_union(model, other)
+            for each in (model, split, union):
+                assert each.content_hash() == reference_hash(each), (seed, draw)
+
+    def test_awkward_names(self):
+        for shift in range(len(_AWKWARD)):
+            names = _AWKWARD[shift:] + _AWKWARD[:shift]
+            model = named_model(names[:2], names[2:7], names[7:9], names[9:])
+            assert model.validate() == []
+            assert model.content_hash() == reference_hash(model), shift
+        assert canonical_json(model).isascii()
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True),
+        st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
+        st.lists(st.text(max_size=3), min_size=1, max_size=2, unique=True),
+        st.lists(st.text(max_size=3), max_size=3, unique=True),
+    )
+    def test_drawn_names(self, agents, states, actions, props):
+        model = named_model(agents, states, actions, props)
+        assert model.content_hash() == reference_hash(model)
+
+    def test_states_without_props(self):
+        bare = named_model(["a", "b"], ["s", "t", "u"], ["x", "y"], [])
+        assert all(not bare.props_at(state) for state in bare.states)
+        some = named_model(["a"], ["s", "t", "u"], ["x"], ["p", "q", "r"])
+        assert not some.props_at("t")
+        empty_prop = ConcurrentGameModel(
+            ["a"], ["s"], {"s": {"a": ["x"]}}, {("s", ("x",)): "s"}, {"p": []}
+        )
+        for model in (bare, some, empty_prop, tiny_loop()):
+            assert model.content_hash() == reference_hash(model)
+
+    def test_a_missing_transition_raises_what_out_raises(self):
+        model = ConcurrentGameModel(
+            agents=["a"],
+            states=["s"],
+            actions={"s": {"a": ["x", "y"]}},
+            outcome={("s", ("x",)): "s"},
+            valuation={},
+        )
+        with pytest.raises(InvalidModelError, match=r"^no outcome at s for profile \(a=y\)$"):
+            model.content_hash()
+
+    def test_the_first_missing_transition_in_model_order_is_named(self):
+        # Ids sort as "a" < "z", but the document lists "z" first.
+        model = ConcurrentGameModel(
+            agents=["a"],
+            states=["z", "a"],
+            actions={"z": {"a": ["x", "y"]}, "a": {"a": ["x", "y"]}},
+            outcome={("z", ("x",)): "a", ("a", ("x",)): "z"},
+            valuation={},
+        )
+        with pytest.raises(InvalidModelError) as reference:
+            model.to_json_dict()
+        with pytest.raises(InvalidModelError) as streamed:
+            model.content_hash()
+        assert str(streamed.value) == str(reference.value)
+        assert str(streamed.value) == "no outcome at z for profile (a=y)"

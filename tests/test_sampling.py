@@ -19,12 +19,12 @@ from tlcga.transforms import _SCHEMES, axiom_instance
 
 class TestDeterminism:
     def test_same_seed_same_models(self):
-        first = [random_model(make_rng(5)).canonical_json() for _ in range(1)]
+        first = [random_model(make_rng(5)).to_json_dict() for _ in range(1)]
         rng_a, rng_b = make_rng(99), make_rng(99)
         for _ in range(20):
             assert (
-                random_model(rng_a).canonical_json()
-                == random_model(rng_b).canonical_json()
+                random_model(rng_a).to_json_dict()
+                == random_model(rng_b).to_json_dict()
             )
 
     def test_same_seed_same_assignments(self):

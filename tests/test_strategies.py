@@ -23,9 +23,9 @@ from tlcga.strategies import (
     PartialStrategyError,
     POSITIONAL,
     WitnessSearchResult,
-    _check_goal_on_product,
     _completed,
     _goal_extensions,
+    _holds_on_product,
     atl_check,
     atl_holds,
     find_witness,
@@ -114,7 +114,7 @@ def reference_find_witness(model, state, assignment, mode, limit):
                 index, state, mode, coalition, candidate.action
             )
             root = initial_memory(state)
-            if _check_goal_on_product(goal, root, order, edges, extensions):
+            if not _holds_on_product(goal, root, order, edges, extensions):
                 return False
         return True
 
@@ -241,6 +241,41 @@ class TestVerifyWitness:
         ok, failures = verify_witness(case.model, "s", profile, gamma)
         assert not ok
         assert any("eventuality" in failure for failure in failures)
+
+    def test_every_failing_conjunct_is_reported_in_order(self):
+        case = example_a()
+        formula = parse_state_formula(
+            "<< {a} -> X q && G p && (p U q); {a,b} -> X p && G (p | !q) >>"
+        )
+        single = {("s",): "b", ("s1",): "b", ("s2",): "b"}
+        positional = FiniteStrategyProfile(
+            POSITIONAL, {"a": {("s",): "a2", ("s1",): "a", ("s2",): "a"}, "b": single}
+        )
+        assert verify_witness(case.model, "s", positional, formula.assignment) == (
+            False,
+            [
+                "coalition {a}: one-step goal X q fails toward s2",
+                "coalition {a}: invariant goal G p fails at s2",
+                "coalition {a}: eventuality goal (p U q) fails",
+                "coalition {a,b}: one-step goal X p fails toward s2",
+            ],
+        )
+        memories = [("s",), ("s", "s1"), ("s1", "s"), ("s", "s2"), ("s2", "s")]
+        path = FiniteStrategyProfile(
+            parse_memory_mode("path:2"),
+            {
+                "a": dict(zip(memories, ["a1", "a", "a2", "a", "a1"])),
+                "b": {memory: "b" for memory in memories},
+            },
+        )
+        assert verify_witness(case.model, "s", path, formula.assignment) == (
+            False,
+            [
+                "coalition {a}: invariant goal G p fails at s s1",
+                "coalition {a,b}: one-step goal X p fails toward s1",
+                "coalition {a,b}: invariant goal G p | !q fails at s s1",
+            ],
+        )
 
     def test_partial_tables_are_rejected(self):
         case = example_a()

@@ -31,18 +31,16 @@ from typing import Iterable, Optional
 
 from .checking import Evaluator
 from .formulas import (
-    And,
     Coalition,
     GoalAssignment,
     Next,
     Not,
     Prop,
     StateFormula,
-    TRUE,
     strategic,
 )
 from .models import ConcurrentGameModel, Effectivity, disjoint_union
-from .transforms import disjoin, to_mu
+from .transforms import conjoin, disjoin, to_mu
 
 
 def _coalitions(model: ConcurrentGameModel) -> list[tuple[int, ...]]:
@@ -180,15 +178,6 @@ def hm_agreement(
     return violations
 
 
-def _conjoin(parts: list[StateFormula]) -> StateFormula:
-    if not parts:
-        return TRUE
-    result = parts[0]
-    for part in parts[1:]:
-        result = And(result, part)
-    return result
-
-
 class _Characteristics:
     """Level-indexed characteristic formulas per refinement class."""
 
@@ -229,7 +218,7 @@ class _Characteristics:
         here = self.model.props_at(state)
         for prop in self.model.props_used():
             parts.append(Prop(prop) if prop in here else Not(Prop(prop)))
-        return _conjoin(parts)
+        return conjoin(parts)
 
     def _build(self, level: int, state: str) -> StateFormula:
         if level == 0:
@@ -247,7 +236,7 @@ class _Characteristics:
                 body = disjoin([self.formula(level - 1, rep) for rep in reps])
                 entries.append((name, Next(body)))
             parts.append(strategic(GoalAssignment(entries)))
-        return _conjoin(parts)
+        return conjoin(parts)
 
 
 def distinguishing_formula(

@@ -28,6 +28,8 @@ from .checking import check_with_stats
 from .formulas import GoalAssignment, Strategic, StateFormula, strategic
 from .models import (
     ResourceLimitError,
+    _expect,
+    _names,
     disjoint_union,
     load_model,
     save_model,
@@ -368,22 +370,30 @@ def _cmd_oplus(args, report: RunReport) -> int:
 
 
 def _cmd_onestep_sat(args, report: RunReport) -> int:
-    sequent_doc = _load_json(args.sequent)
-    formulas = [
-        parse_state_formula(text) for text in sequent_doc["formulas"]
-    ]
+    sequent_doc = _expect(_load_json(args.sequent), dict, "the sequent document")
+    texts = _names(sequent_doc.get("formulas"), "formulas of the sequent")
+    universes = {
+        key: _names(sequent_doc[key], "%s of the sequent" % key)
+        for key in ("agents", "variables")
+        if sequent_doc.get(key) is not None
+    }
     sequent = onestep_mod.sequent_from_formulas(
-        formulas,
-        agents=sequent_doc.get("agents"),
-        variables=sequent_doc.get("variables"),
+        [parse_state_formula(text) for text in texts], **universes
     )
-    constraint_doc = _load_json(args.constraint)
-    family = constraint_doc["family"]
+    constraint_doc = _expect(
+        _load_json(args.constraint), dict, "the constraint document"
+    )
+    members = _expect(constraint_doc.get("family"), list, "family of the constraint")
+    family = [
+        _names(member, "member %d of the constraint family" % number)
+        for number, member in enumerate(members)
+    ]
     variables = constraint_doc.get("variables")
     if variables is None:
         variables = sorted(
             set(sequent.variables) | {v for member in family for v in member}
         )
+    _names(variables, "variables of the constraint")
     constraint = onestep_mod.SatConstraint.over(variables, family)
     verdict = onestep_mod.sequent_satisfiable(sequent, constraint)
     report.result["agents"] = ",".join(sequent.agents)
@@ -468,6 +478,9 @@ def _cmd_stability(args, report: RunReport) -> int:
 
 
 def _cmd_axioms(args, report: RunReport) -> int:
+    for flag, count in (("--samples", args.samples), ("--max-states", args.max_states)):
+        if count < 1:
+            raise UsageError("%s must be at least 1" % flag)
     wanted = args.schemes.split(",") if args.schemes else list(_SCHEMES)
     bad = 0
     for scheme in wanted:

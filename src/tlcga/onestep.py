@@ -8,6 +8,9 @@ negative one, keeps every outcome inside some member of S, and reaches
 below every member of S. The decision procedure reduces this to two
 combinatorial conditions over redistributions: ways of handing each of
 a few pairwise disjoint coalitions one positive assignment to act on.
+One blocking rule (`_blocker`) answers, per redistribution and negative
+claim, which coalition the others can block and under which member; the
+verdict, the certificate and the witness game form all read it.
 
 Coalitions in sequent supports must be non-empty: an empty coalition
 would force its variable into every outcome, which the redistribution
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .formulas import (
     And,
@@ -179,6 +182,19 @@ class Redistribution:
 
     pairs: tuple[tuple[Coalition, int], ...]
 
+    @staticmethod
+    def of(pairs: Iterable[tuple[Iterable[str], int]]) -> "Redistribution":
+        """The redistribution of the non-empty pairs, in canonical order."""
+        kept = [(Coalition(members), index) for members, index in pairs if members]
+        kept.sort(key=lambda pair: (len(pair[0]), pair[0].sorted_members()))
+        return Redistribution(tuple(kept))
+
+    def restricted(self, coalition: Coalition) -> "Redistribution":
+        """Each backing coalition cut down to its members in `coalition`."""
+        return Redistribution.of(
+            (backer & coalition, index) for backer, index in self.pairs
+        )
+
     def resolve(
         self, sequent: OneStepSequent
     ) -> tuple[tuple[Coalition, GoalAssignment], ...]:
@@ -196,21 +212,17 @@ class Redistribution:
         )
 
 
-def _all_coalitions(agents: Sequence[str]) -> list[Coalition]:
-    return [
-        Coalition(members)
-        for size in range(len(agents) + 1)
-        for members in itertools.combinations(agents, size)
-    ]
-
-
 def redistributions(sequent: OneStepSequent) -> list[Redistribution]:
     """Every redistribution, enumerated canonically and duplicate-free.
 
     Represented as maps from coalitions to a positive claim or a pass
     marker; maps where two backed coalitions overlap are skipped.
     """
-    subsets = _all_coalitions(sequent.agents)
+    subsets = [
+        Coalition(members)
+        for size in range(len(sequent.agents) + 1)
+        for members in itertools.combinations(sequent.agents, size)
+    ]
     options: list[Optional[int]] = [None] + list(range(len(sequent.positives)))
     found = []
     for choice in itertools.product(options, repeat=len(subsets)):
@@ -255,13 +267,42 @@ def forced_against(
         raise ValueError(
             "coalition %s carries no goal in the negative assignment" % blocked
         )
-    result = {_goal_variable(goal, negative=True)}
-    for coalition, index in redistribution.pairs:
-        reachable = coalition & blocked
-        for supported, positive_goal in sequent.positives[index]:
-            if supported <= reachable:
-                result.add(_goal_variable(positive_goal, negative=False))
-    return frozenset(result)
+    return forced(sequent, redistribution.restricted(blocked)) | {
+        _goal_variable(goal, negative=True)
+    }
+
+
+_Needs = tuple[tuple[Optional[Coalition], frozenset[str]], ...]
+
+
+def _blocker(
+    sequent: OneStepSequent,
+    constraint: SatConstraint,
+    redistribution: Redistribution,
+    negative: GoalAssignment,
+) -> tuple[Optional[Coalition], Optional[frozenset[str]], _Needs]:
+    """The first coalition of the negative claim the rest can block.
+
+    Returns it with its covering member, which is None for the grand
+    coalition: that one is blocked when its variable is in every member.
+    When no coalition can be blocked, returns None and the needs that no
+    member covers, in claim order.
+    """
+    grand = Coalition(sequent.agents)
+    needs = []
+    for blocked, goal in negative:
+        if blocked == grand:
+            variable = _goal_variable(goal, negative=True)
+            if all(variable in member for member in constraint.family):
+                return blocked, None, ()
+            needs.append((None, frozenset({variable})))
+            continue
+        needed = forced_against(sequent, redistribution, negative, blocked)
+        member = constraint.covering(needed)
+        if member is not None:
+            return blocked, member, ()
+        needs.append((blocked, needed))
+    return None, None, tuple(needs)
 
 
 @dataclass(frozen=True)
@@ -277,7 +318,7 @@ class SatCertificate:
 
     pairs: tuple[tuple[Coalition, GoalAssignment], ...]
     negative: Optional[GoalAssignment]
-    required: tuple[tuple[Optional[Coalition], frozenset[str]], ...]
+    required: _Needs
 
     def __str__(self) -> str:
         backing = (
@@ -338,45 +379,18 @@ def sequent_satisfiable(
     when the combined forced set fits some member.
     """
     _require_same_universe(sequent, constraint)
-    grand = Coalition(sequent.agents)
     for redistribution in redistributions(sequent):
         needed = forced(sequent, redistribution)
         if constraint.covering(needed) is None:
-            return SatResult(
-                False,
-                SatCertificate(
-                    pairs=redistribution.resolve(sequent),
-                    negative=None,
-                    required=((None, needed),),
-                ),
-            )
+            pairs = redistribution.resolve(sequent)
+            return SatResult(False, SatCertificate(pairs, None, ((None, needed),)))
         for negative in sequent.negatives:
-            failures: list[tuple[Optional[Coalition], frozenset[str]]] = []
-            blocked_somewhere = False
-            for blocked, goal in negative:
-                if blocked == grand:
-                    variable = _goal_variable(goal, negative=True)
-                    if all(variable in member for member in constraint.family):
-                        blocked_somewhere = True
-                        break
-                    failures.append((None, frozenset({variable})))
-                    continue
-                needed = forced_against(
-                    sequent, redistribution, negative, blocked
-                )
-                if constraint.covering(needed) is not None:
-                    blocked_somewhere = True
-                    break
-                failures.append((blocked, needed))
-            if not blocked_somewhere:
-                return SatResult(
-                    False,
-                    SatCertificate(
-                        pairs=redistribution.resolve(sequent),
-                        negative=negative,
-                        required=tuple(failures),
-                    ),
-                )
+            blocked, _, needs = _blocker(
+                sequent, constraint, redistribution, negative
+            )
+            if blocked is None:
+                pairs = redistribution.resolve(sequent)
+                return SatResult(False, SatCertificate(pairs, negative, needs))
     return SatResult(True, None)
 
 
@@ -465,22 +479,15 @@ class OneStepGameForm:
     planners: tuple[Mapping[Redistribution, frozenset[str]], ...]
     sequent: OneStepSequent
 
-    def profiles(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(
-            range(len(self.actions)), repeat=len(self.agents)
-        )
-
     def formation(self, profile: tuple[int, ...]) -> Redistribution:
         behind: dict[int, set[str]] = {}
         for agent, action_index in zip(self.agents, profile):
             claim = self.actions[action_index].claim
             if claim is not None:
                 behind.setdefault(claim, set()).add(agent)
-        pairs = sorted(
-            ((Coalition(members), claim) for claim, members in behind.items()),
-            key=lambda pair: (len(pair[0]), pair[0].sorted_members()),
+        return Redistribution.of(
+            (members, claim) for claim, members in behind.items()
         )
-        return Redistribution(tuple(pairs))
 
     def outcome(self, profile: tuple[int, ...]) -> frozenset[str]:
         total = sum(self.actions[index].bet for index in profile)
@@ -602,69 +609,41 @@ def witness_game_form(
             "sequent is not satisfiable under the constraint: %s"
             % verdict.certificate
         )
-    grand = Coalition(sequent.agents)
     every = redistributions(sequent)
 
     if not sequent.negatives and len(constraint.family) == 1:
         member = constraint.family[0]
-        planner = {redistribution: member for redistribution in every}
         return OneStepGameForm(
             agents=sequent.agents,
             actions=(GameFormAction(claim=None, planner=0, bet=0),),
-            planners=(planner,),
+            planners=({redistribution: member for redistribution in every},),
             sequent=sequent,
         )
 
-    default = {}
-    for redistribution in every:
-        default[redistribution] = constraint.covering(
-            forced(sequent, redistribution)
-        )
+    default = {
+        redistribution: constraint.covering(forced(sequent, redistribution))
+        for redistribution in every
+    }
 
     planners: list[dict] = [default]
-    seen_overrides: dict[tuple[Redistribution, frozenset[str]], int] = {}
-    idle = Redistribution(())
-    for member in constraint.family:
-        if default[idle] != member:
-            key = (idle, member)
+    overrides: set[tuple[Redistribution, frozenset[str]]] = set()
+
+    def override(residue: Redistribution, member: frozenset[str]) -> None:
+        if default[residue] != member and (residue, member) not in overrides:
+            overrides.add((residue, member))
             plan = dict(default)
-            plan[idle] = member
-            seen_overrides[key] = len(planners)
+            plan[residue] = member
             planners.append(plan)
+
+    for member in constraint.family:
+        override(Redistribution(()), member)
     for redistribution in every:
         for negative in sequent.negatives:
-            for blocked, goal in negative:
-                if blocked == grand:
-                    variable = _goal_variable(goal, negative=True)
-                    if all(
-                        variable in member for member in constraint.family
-                    ):
-                        break
-                    continue
-                needed = forced_against(
-                    sequent, redistribution, negative, blocked
-                )
-                member = constraint.covering(needed)
-                if member is None:
-                    continue
-                trimmed = []
-                for coalition, index in redistribution.pairs:
-                    kept = coalition & blocked
-                    if kept:
-                        trimmed.append((Coalition(kept), index))
-                trimmed.sort(
-                    key=lambda pair: (len(pair[0]), pair[0].sorted_members())
-                )
-                residue = Redistribution(tuple(trimmed))
-                if default[residue] == member:
-                    break
-                key = (residue, member)
-                if key not in seen_overrides:
-                    plan = dict(default)
-                    plan[residue] = member
-                    seen_overrides[key] = len(planners)
-                    planners.append(plan)
-                break
+            blocked, member, _ = _blocker(
+                sequent, constraint, redistribution, negative
+            )
+            if member is not None:
+                override(redistribution.restricted(blocked), member)
 
     actions = tuple(
         GameFormAction(claim=claim, planner=planner, bet=bet)

@@ -31,7 +31,7 @@ from .formulas import (
 )
 from .models import ConcurrentGameModel
 from .strategies import MemoryMode, POSITIONAL
-from .transforms import axiom_instance
+from .transforms import _nonempty_subsets, axiom_instance
 
 DEFAULT_SEED = 1729
 
@@ -137,7 +137,9 @@ def random_assignment(
     allow_conjunction: bool = False,
     allow_empty_coalition: bool = False,
 ) -> GoalAssignment:
-    pool = list(_subsets(agents, allow_empty_coalition))
+    pool = _nonempty_subsets(agents)
+    if allow_empty_coalition:
+        pool.insert(0, Coalition())
     rng.shuffle(pool)
     count = rng.randint(1, min(max_coalitions, len(pool)))
     return GoalAssignment(
@@ -149,15 +151,6 @@ def random_assignment(
             for coalition in pool[:count]
         ]
     )
-
-
-def _subsets(agents, allow_empty: bool):
-    ordered = sorted(agents)
-    start = 0 if allow_empty else 1
-    for index in range(start, 1 << len(ordered)):
-        yield Coalition(
-            name for bit, name in enumerate(ordered) if index & (1 << bit)
-        )
 
 
 def random_memory_mode(rng: random.Random) -> MemoryMode:

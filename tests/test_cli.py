@@ -101,6 +101,15 @@ class TestExitCodes:
         assert run(capsys)[0] == 1
         assert run(capsys, "check", "--corpus-case", "exampleA")[0] == 1
 
+    @pytest.mark.parametrize("flag", ["--samples", "--max-states"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_axiom_counts_below_one_are_usage_errors(self, capsys, flag,
+                                                     count):
+        code, out, err = run(capsys, "axioms", "--schemes", "triv", flag,
+                             count)
+        assert (code, out) == (1, "")
+        assert "usage error: %s must be at least 1" % flag in err
+
     def test_invalid_input_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "--model", "/no/such/file.json",
                            "--formula", "p", "--state", "s")
@@ -418,36 +427,100 @@ class TestFormulaCommands:
 
 
 class TestOneStep:
+    MIXED = ["<< {a} -> X p >>", "<< {b} -> X q >>", "!<< {b} -> X !r >>"]
+
+    @staticmethod
+    def _run(capsys, tmp_path, sequent, constraint):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(sequent))
+        con = tmp_path / "con.json"
+        con.write_text(json.dumps(constraint))
+        return run(capsys, "onestep-sat", "--sequent", str(seq),
+                   "--constraint", str(con))
+
+    def _report(self, capsys, tmp_path, formulas, family):
+        """The report lines after the command echo."""
+        code, out, _ = self._run(capsys, tmp_path, {"formulas": formulas},
+                                 {"family": family})
+        assert code == 0
+        return out.splitlines()[1:]
+
     def test_satisfiable_sequent_yields_a_validated_witness(self, capsys,
                                                             tmp_path):
-        seq = tmp_path / "seq.json"
-        seq.write_text(json.dumps({
-            "formulas": ["<< {a} -> X p >>", "<< {b} -> X q >>",
-                         "!<< {b} -> X !r >>"],
-        }))
-        con = tmp_path / "con.json"
-        con.write_text(json.dumps({"family": [["p", "q"], ["q", "r"]]}))
-        code, out, _ = run(capsys, "onestep-sat", "--sequent", str(seq),
-                           "--constraint", str(con))
-        assert code == 0
-        assert "satisfiable: true" in out
-        assert "witness validated: true" in out
+        assert self._report(capsys, tmp_path, self.MIXED,
+                            [["p", "q"], ["q", "r"]]) == [
+            "agents: a,b",
+            "variables: p,q,r",
+            "constraint: {p,q}; {q,r}",
+            "satisfiable: true",
+            "witness actions: 24",
+            "witness validated: true",
+            "positives: 2",
+            "negatives: 1",
+            "seed: 1729",
+        ]
 
     def test_unsatisfiable_sequent_yields_a_certificate(self, capsys,
                                                         tmp_path):
-        seq = tmp_path / "seq.json"
-        seq.write_text(json.dumps({
-            "formulas": ["<< {a} -> X p >>", "<< {b} -> X q >>",
-                         "!<< {b} -> X !r >>"],
-        }))
-        con = tmp_path / "con.json"
-        con.write_text(json.dumps({"family": [["p", "q"], ["p", "r"]]}))
-        code, out, _ = run(capsys, "onestep-sat", "--sequent", str(seq),
-                           "--constraint", str(con))
-        assert code == 0
-        assert "satisfiable: false" in out
-        assert "certificate:" in out
-        assert "{q,r}" in out
+        assert self._report(capsys, tmp_path, self.MIXED,
+                            [["p", "q"], ["p", "r"]]) == [
+            "agents: a,b",
+            "variables: p,q,r",
+            "constraint: {p,q}; {p,r}",
+            "satisfiable: false",
+            "certificate: cannot block << {b} -> X !r >> under {a,b} backs"
+            " << {b} -> X q >> (blocking {b} needs {q,r})",
+            "positives: 2",
+            "negatives: 1",
+            "seed: 1729",
+        ]
+
+    def test_certificate_lists_needs_in_claim_order(self, capsys, tmp_path):
+        # The grand coalition {a,b} sits between {a} and {b}.
+        negative = "!<< {a} -> X !p; {a,b} -> X !q; {b} -> X !p >>"
+        report = self._report(capsys, tmp_path, [negative], [["q"], []])
+        assert (
+            "certificate: cannot block %s under the empty redistribution"
+            " (blocking {a} needs {p}; every member needs {q};"
+            " blocking {b} needs {p})" % negative[1:]
+        ) in report
+
+    def test_witness_blocks_the_first_blockable_coalition(self, capsys,
+                                                          tmp_path):
+        # Both {a} and {b} can be blocked; blocking {b} would need a
+        # second override planner.
+        report = self._report(
+            capsys, tmp_path,
+            ["<< {a} -> X p >>", "!<< {a} -> X !p; {b} -> X !q >>"],
+            [["p"], ["q"]])
+        assert "witness actions: 8" in report
+        assert "witness validated: true" in report
+
+    @pytest.mark.parametrize(
+        "sequent, constraint, message",
+        [
+            ({"formulas": MIXED}, {"family": 5},
+             "family of the constraint must be a JSON list"),
+            ([1, 2], {"family": [["p"]]},
+             "the sequent document must be a JSON object"),
+            ({"formulas": MIXED}, {"family": [["p"]], "variables": 7},
+             "variables of the constraint must be a JSON list"),
+            ({"formulas": MIXED, "agents": "ab"}, {"family": [["p"]]},
+             "agents of the sequent must be a JSON list"),
+            ({"formulas": MIXED}, {"family": ["pq"]},
+             "member 0 of the constraint family must be a JSON list"),
+        ],
+        ids=["family-as-integer", "sequent-as-list", "variables-as-integer",
+             "agents-as-string", "member-as-string"],
+    )
+    def test_wrong_json_shapes_are_invalid_input(
+        self, capsys, tmp_path, sequent, constraint, message
+    ):
+        code, out, err = self._run(capsys, tmp_path, sequent, constraint)
+        assert code == 2
+        assert out == ""
+        assert "invalid input: %s" % message in err
+        assert "Traceback" not in err
 
 
 class TestStability:

@@ -108,6 +108,15 @@ class TestRedistributions:
         assert forced(sequent, split) == {"p", "q"}
         assert forced(sequent, Redistribution(())) == frozenset()
 
+    def test_restriction_keeps_the_canonical_order(self):
+        split = Redistribution.of([(["b"], 1), (["a", "c"], 0)])
+        assert split.pairs == ((Coalition(["b"]), 1), (Coalition(["a", "c"]), 0))
+        assert split.restricted(Coalition(["a", "b"])).pairs == (
+            (Coalition(["a"]), 0),
+            (Coalition(["b"]), 1),
+        )
+        assert split.restricted(Coalition(["c"])).pairs == ((Coalition(["c"]), 0),)
+
     def test_forced_against_adds_the_blocked_variable(self):
         sequent = mixed_sequent()
         split = Redistribution(

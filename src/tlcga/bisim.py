@@ -40,7 +40,7 @@ from .formulas import (
     strategic,
 )
 from .models import ConcurrentGameModel, Effectivity, disjoint_union
-from .transforms import conjoin, disjoin, to_mu
+from .transforms import conjoin, disjoin
 
 
 def _coalitions(model: ConcurrentGameModel) -> list[tuple[int, ...]]:
@@ -171,7 +171,7 @@ def hm_agreement(
     related = _pairs(_partition_levels(evaluator.effectivity)[-1])
     violations = []
     for phi in formulas:
-        extension = evaluator.extension(to_mu(phi))
+        extension = evaluator.extension_of(phi)
         for s1, s2 in sorted(related):
             if s1 < s2 and (s1 in extension) != (s2 in extension):
                 violations.append((s1, s2, phi))
@@ -259,7 +259,7 @@ def distinguishing_formula(
     for level in range(first_split, len(chars.levels)):
         for positive, negative in ((s1, s2), (s2, s1)):
             candidate = chars.formula(level, positive)
-            extension = evaluator.extension(to_mu(candidate))
+            extension = evaluator.extension_of(candidate)
             if positive in extension and negative not in extension:
                 if positive == s1:
                     return candidate

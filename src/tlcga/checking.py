@@ -1,10 +1,11 @@
 """Extension-based evaluation of formulas over concurrent game models.
 
 The evaluator works on the fixpoint dialect where every strategic
-operator carries nexttime goals only; check() first translates its
-input so arbitrary goal assignments can be queried. Extensions are
-state sets computed bottom-up, with least and greatest fixpoints found
-by iteration from the empty and the full state set.
+operator carries nexttime goals only. `Evaluator.extension_of` accepts
+any dialect: it translates with the evaluator's own `to_mu` memo and
+then evaluates, and check() and every other caller go through it.
+Extensions are state sets computed bottom-up, with least and greatest
+fixpoints found by iteration from the empty and the full state set.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .formulas import (
     path_conjuncts,
 )
 from .models import ConcurrentGameModel, Effectivity
-from .transforms import to_mu
+from .transforms import _Translator
 
 
 class UnboundVariableError(ValueError):
@@ -45,9 +46,12 @@ class Evaluator:
     """Evaluates fixpoint-dialect formulas on one model.
 
     Keeps a cache keyed by subformula and the bindings of its free
-    variables, owns the effectivity index its strategic steps read, and
-    counts fixpoint iterations for reporting. Both caches live as long
-    as the evaluator, so build one per query.
+    variables, owns the effectivity index its strategic steps read and
+    the translator `extension_of` uses, and counts fixpoint iterations
+    for reporting. The translator's memo gives the same translated object
+    for the same closed input, so the cache hits by identity rather than
+    by comparing two equal translations node by node. All three live as
+    long as the evaluator, so build one per query.
     """
 
     def __init__(self, model: ConcurrentGameModel) -> None:
@@ -56,19 +60,22 @@ class Evaluator:
         self.effectivity = Effectivity(model)
         self._all = frozenset(model.states)
         self._cache: dict = {}
+        self._translator = _Translator()
+
+    def extension_of(self, phi: StateFormula) -> frozenset[str]:
+        """States satisfying a closed formula of any dialect."""
+        return self.extension(self._translator.state(phi))
 
     def extension(
         self, phi: StateFormula, env: Mapping[str, frozenset[str]] | None = None
     ) -> frozenset[str]:
         env = env or {}
-        key = (
-            phi,
-            tuple(
-                (name, env[name])
-                for name in sorted(phi.free_vars)
-                if name in env
-            ),
-        )
+        bindings = ()
+        if phi.free_vars and env:
+            bindings = tuple(
+                (name, env[name]) for name in sorted(phi.free_vars) if name in env
+            )
+        key = (phi, bindings)
         cached = self._cache.get(key)
         if cached is None:
             cached = self._compute(phi, env)
@@ -158,7 +165,7 @@ def extension_of(
     model: ConcurrentGameModel, phi: StateFormula
 ) -> frozenset[str]:
     """States satisfying a formula of any dialect (translated first)."""
-    return Evaluator(model).extension(to_mu(phi))
+    return Evaluator(model).extension_of(phi)
 
 
 def check(model: ConcurrentGameModel, state: str, phi: StateFormula) -> bool:
@@ -171,7 +178,7 @@ def check_with_stats(
     if not model.has_state(state):
         raise ValueError("unknown state %s" % state)
     evaluator = Evaluator(model)
-    ext = evaluator.extension(to_mu(phi))
+    ext = evaluator.extension_of(phi)
     return CheckResult(state in ext, evaluator.iterations)
 
 

@@ -70,6 +70,12 @@ def _check_assignment(assignment: GoalAssignment, negative: bool) -> set[str]:
     return used
 
 
+def _reject_repeats(names: tuple[str, ...], field: str) -> None:
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError("repeated names in %s: %s" % (field, ", ".join(repeated)))
+
+
 @dataclass(frozen=True)
 class OneStepSequent:
     """Positive and negative one-step claims over a shared vocabulary."""
@@ -80,6 +86,8 @@ class OneStepSequent:
     negatives: tuple[GoalAssignment, ...]
 
     def __post_init__(self) -> None:
+        _reject_repeats(self.agents, "the sequent's agents")
+        _reject_repeats(self.variables, "the sequent's variables")
         mentioned: set[str] = set()
         for assignment in self.positives:
             mentioned |= _check_assignment(assignment, negative=False)
@@ -148,6 +156,7 @@ class SatConstraint:
     family: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
+        _reject_repeats(self.variables, "the constraint's variables")
         declared = set(self.variables)
         for member in self.family:
             if not member <= declared:
@@ -216,28 +225,30 @@ def redistributions(sequent: OneStepSequent) -> list[Redistribution]:
     """Every redistribution, enumerated canonically and duplicate-free.
 
     Represented as maps from coalitions to a positive claim or a pass
-    marker; maps where two backed coalitions overlap are skipped.
+    marker, in the order of listing every map with the pass marker first
+    and the first coalition varying slowest. A depth-first walk backs one
+    more coalition per level, never one overlapping a coalition already
+    backed, so it builds no overlapping map.
     """
     subsets = [
         Coalition(members)
         for size in range(len(sequent.agents) + 1)
         for members in itertools.combinations(sequent.agents, size)
     ]
-    options: list[Optional[int]] = [None] + list(range(len(sequent.positives)))
     found = []
-    for choice in itertools.product(options, repeat=len(subsets)):
-        pairs = [
-            (subsets[i], index)
-            for i, index in enumerate(choice)
-            if index is not None
-        ]
-        ok = True
-        for (first, _), (second, _) in itertools.combinations(pairs, 2):
-            if first & second:
-                ok = False
-                break
-        if ok:
-            found.append(Redistribution(tuple(pairs)))
+
+    def walk(start: int, pairs: tuple, backed: frozenset) -> None:
+        found.append(Redistribution(pairs))
+        # Passing sorts first, so maps backing their next coalition later come first.
+        for position in reversed(range(start, len(subsets))):
+            coalition = subsets[position]
+            if coalition & backed:
+                continue
+            for index in range(len(sequent.positives)):
+                pair = ((coalition, index),)
+                walk(position + 1, pairs + pair, backed | coalition)
+
+    walk(0, (), frozenset())
     return found
 
 

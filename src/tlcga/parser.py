@@ -119,6 +119,7 @@ class _Parser:
         self.index = 0
         self.dialect = dialect
         self.bound: list[str] = []
+        self.binders = 0  # binders met; without one there is no variable
         self.nesting = 0  # depth of the operand being parsed
         self.deepest = 0  # deepest level reached: parse_chain's operand heights
 
@@ -209,6 +210,7 @@ class _Parser:
             )
         name = self.expect("ident").text
         self.expect(".")
+        self.binders += 1
         self.bound.append(name)
         body = self.parse_state()
         self.bound.pop()
@@ -307,7 +309,7 @@ def parse_state_formula(text: str, dialect: str = "tlcga_plus") -> StateFormula:
     end = parser.peek()
     if end.kind != "end":
         raise FormulaSyntaxError("trailing input %r" % end.text, end.position)
-    problems = polarity_violations(phi)
+    problems = polarity_violations(phi) if parser.binders else ()
     if problems:
         raise FormulaSyntaxError(problems[0], 0)
     return phi

@@ -30,12 +30,7 @@ from .formulas import (
     strategic,
 )
 from .models import ConcurrentGameModel
-from .strategies import (
-    FiniteStrategyProfile,
-    _goal_extensions,
-    _play_goals,
-    play_goals,
-)
+from .strategies import FiniteStrategyProfile, play_goals
 from .transforms import conjoin, negate
 
 
@@ -337,10 +332,9 @@ def _first_step_improves(model, state, profile, agent, goal) -> bool:
 
 
 def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
+    # The goal and the model are fixed, so one evaluator serves every table.
     evaluator = Evaluator(model)
     own = GoalAssignment([(Coalition((agent,)), goal)])
-    # The goal and the model are fixed; only the deviator's table varies.
-    extensions = _goal_extensions(evaluator, own)
     choice_sets = [model.actions_of(s, agent) for s in model.states]
     for choices in product(*choice_sets):
         tables = dict(profile.tables)
@@ -348,6 +342,6 @@ def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
             (s,): action for s, action in zip(model.states, choices)
         }
         candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
-        if all(_play_goals(evaluator.effectivity, state, candidate, own, extensions)):
+        if all(play_goals(evaluator, state, candidate, own)):
             return True
     return False

@@ -24,7 +24,6 @@ from .formulas import (
     path_conjuncts,
 )
 from .models import ConcurrentGameModel, Effectivity
-from .transforms import to_mu
 
 
 class PartialStrategyError(ValueError):
@@ -191,7 +190,7 @@ def _goal_extensions(
 
     def record(phi: StateFormula) -> None:
         if phi not in extensions:
-            extensions[phi] = evaluator.extension(to_mu(phi))
+            extensions[phi] = evaluator.extension_of(phi)
 
     for _, goal in assignment:
         for part in path_conjuncts(goal):
@@ -301,54 +300,55 @@ class _Closure:
 
 def _goal_failures(
     goal: PathFormula,
-    root: tuple,
-    order: list[tuple],
-    edges: dict[tuple, list[tuple]],
+    closure: _Closure,
     extensions: Mapping[StateFormula, frozenset[str]],
+    since: tuple[int, int] = (0, 0),
 ) -> Iterator[tuple[PathFormula, tuple]]:
-    """The goal's conjuncts that fail on a closure, in order, each with
-    the memory that breaks it: the successor an `X` goal fails toward,
-    the memory a `G` goal fails at, the root for a `U` goal.
+    """The goal's conjuncts that the closure breaks for every completion,
+    judged on what it gained since the mark `since` (by default the whole
+    closure), in order, each with the memory that breaks it.
+
+    An `X` goal is judged once the root is expanded: the successor it
+    fails toward. A `G` goal is judged on the memories reached since: the
+    first one outside its body. A `U` goal is judged, at the root, once
+    the closure is complete and was not complete at the mark. While the
+    lookup only gains entries none of these verdicts changes, so the
+    judgments since successive marks together give the whole closure's.
     """
+    reached, head = since
     for part in path_conjuncts(goal):
-        if isinstance(part, Next):
-            target_set = extensions[part.body]
-            for successor in edges[root]:
-                if memory_state(successor) not in target_set:
-                    yield part, successor
-                    break
-        elif isinstance(part, Globally):
-            target_set = extensions[part.body]
-            for memory in order:
-                if memory_state(memory) not in target_set:
-                    yield part, memory
-                    break
-        elif isinstance(part, Until):
-            left_set = extensions[part.left]
-            right_set = extensions[part.right]
-            satisfied: set[tuple] = set()
-            changed = True
-            while changed:
-                changed = False
-                for memory in order:
-                    if memory in satisfied:
-                        continue
-                    state = memory_state(memory)
-                    if state in right_set or (
-                        state in left_set
-                        and all(t in satisfied for t in edges[memory])
-                    ):
-                        satisfied.add(memory)
-                        changed = True
-            if root not in satisfied:
-                yield part, root
+        if isinstance(part, Until):
+            if closure.complete and not 0 < reached == head:
+                left_set = extensions[part.left]
+                right_set = extensions[part.right]
+                satisfied: set[tuple] = set()
+                changed = True
+                while changed:
+                    changed = False
+                    for memory in closure.order:
+                        if memory in satisfied:
+                            continue
+                        state = memory_state(memory)
+                        if state in right_set or (
+                            state in left_set
+                            and all(t in satisfied for t in closure.edges[memory])
+                        ):
+                            satisfied.add(memory)
+                            changed = True
+                if closure.root not in satisfied:
+                    yield part, closure.root
+            continue
+        if isinstance(part, Globally):
+            memories = closure.order[reached:]
+        elif isinstance(part, Next):
+            memories = closure.edges[closure.root] if head == 0 < closure.head else []
         else:
             raise TypeError("not a path goal: %r" % (part,))
-
-
-def _holds_on_product(goal, root, order, edges, extensions) -> bool:
-    """Whether no conjunct of `goal` fails; stops at the first failure."""
-    return next(_goal_failures(goal, root, order, edges, extensions), None) is None
+        target_set = extensions[part.body]
+        for memory in memories:
+            if memory_state(memory) not in target_set:
+                yield part, memory
+                break
 
 
 def _describe_failure(part: PathFormula, memory: tuple) -> str:
@@ -395,9 +395,7 @@ def _verify(index, state, mode, lookup, assignment, extensions):
     failures: list[str] = []
     for coalition, goal in assignment:
         closure = _completed(index, state, mode, lookup, coalition)
-        for part, memory in _goal_failures(
-            goal, closure.root, closure.order, closure.edges, extensions
-        ):
+        for part, memory in _goal_failures(goal, closure, extensions):
             failures.append(
                 "coalition %s: %s" % (coalition, _describe_failure(part, memory))
             )
@@ -417,14 +415,10 @@ def play_goals(
     fixed, each memory has exactly one successor.
     """
     extensions = _goal_extensions(evaluator, assignment)
-    return _play_goals(evaluator.effectivity, state, profile, assignment, extensions)
-
-
-def _play_goals(index, state, profile, assignment, extensions) -> tuple[bool, ...]:
-    """`play_goals` with the goals' extensions already computed."""
+    index = evaluator.effectivity
     closure = _completed(index, state, profile.mode, profile.action, index.model.agents)
     return tuple(
-        _holds_on_product(goal, closure.root, closure.order, closure.edges, extensions)
+        next(_goal_failures(goal, closure, extensions), None) is None
         for _, goal in assignment
     )
 
@@ -442,41 +436,6 @@ class WitnessSearchResult:
         return "none (exact)" if self.exact else "none (bounded)"
 
 
-def _refuted(
-    closure: _Closure,
-    goal: PathFormula,
-    mark: tuple[int, int],
-    extensions: Mapping[StateFormula, frozenset[str]],
-) -> bool:
-    """Whether `goal` fails on every completion of the closure, judged on
-    what it gained since `mark`.
-
-    A newly reached memory outside a `G` body, a just-expanded root with a
-    successor outside an `X` body, or a just-completed closure that fails
-    its goal stays a failure however the closure grows. A `U` goal is
-    only judged once the closure is complete.
-    """
-    reached, head = mark
-    if 0 < reached == head:
-        return False  # complete at `mark`, so judged before
-    if closure.complete:
-        return not _holds_on_product(
-            goal, closure.root, closure.order, closure.edges, extensions
-        )
-    for part in path_conjuncts(goal):
-        if isinstance(part, Globally):
-            body = extensions[part.body]
-            for memory in closure.order[reached:]:
-                if memory_state(memory) not in body:
-                    return True
-        elif isinstance(part, Next) and head == 0 < closure.head:
-            body = extensions[part.body]
-            for successor in closure.edges[closure.root]:
-                if memory_state(successor) not in body:
-                    return True
-    return False
-
-
 def find_witness(
     model: ConcurrentGameModel,
     state: str,
@@ -491,7 +450,7 @@ def find_witness(
     declared order, so the found witness is deterministic. Each
     coalition's closure grows with the decisions of the current branch
     and is undone on backtrack. A branch is cut as soon as a closure
-    breaks its goal for every completion (see `_refuted`); such a branch
+    breaks its goal for every completion (see `_goal_failures`); such a branch
     holds no witness, so the cuts do not change which witness is found.
     `explored` counts the search nodes entered, cut ones included. When
     the search space is exhausted without success the absence is exact
@@ -539,7 +498,7 @@ def find_witness(
             missing = None
             for closure, goal, mark in zip(closures, goals, marks):
                 entry = closure.grow(lookup)
-                if _refuted(closure, goal, mark, extensions):
+                if next(_goal_failures(goal, closure, extensions, mark), None):
                     return None
                 if missing is None:
                     missing = entry
@@ -589,10 +548,10 @@ def atl_check(
         )
 
     if isinstance(goal, Next):
-        return force(evaluator.extension(to_mu(goal.body)))
+        return force(evaluator.extension_of(goal.body))
     if isinstance(goal, Until):
-        left = evaluator.extension(to_mu(goal.left))
-        right = evaluator.extension(to_mu(goal.right))
+        left = evaluator.extension_of(goal.left)
+        right = evaluator.extension_of(goal.right)
         current: frozenset[str] = frozenset()
         while True:
             updated = right | (left & force(current))
@@ -600,7 +559,7 @@ def atl_check(
                 return current
             current = updated
     if isinstance(goal, Globally):
-        body = evaluator.extension(to_mu(goal.body))
+        body = evaluator.extension_of(goal.body)
         current = frozenset(model.states)
         while True:
             updated = body & force(current)

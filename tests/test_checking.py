@@ -13,9 +13,16 @@ from tlcga.checking import (
     valid_on,
 )
 from tlcga.corpus import default_cases, example_a, example_b, example_b_gamma_prime, password
-from tlcga.formulas import Implies, Prop, Var
+from tlcga.formulas import Implies, Prop, Var, strategic
 from tlcga.models import ConcurrentGameModel
 from tlcga.parser import parse_state_formula
+from tlcga.sampling import (
+    make_rng,
+    random_assignment,
+    random_model,
+    random_state_formula,
+)
+from tlcga.transforms import _Translator, to_mu
 
 
 def chain():
@@ -203,3 +210,50 @@ class TestValidity:
         model = example_b().model
         ext = extension_of(model, phi("<< {1} -> G p >>", dialect="tlcga"))
         assert ext == {"s", "s1", "s2", "s31"}
+
+
+class TestExtensionOf:
+    """`Evaluator.extension_of` is `extension` after `to_mu`, translating
+    with one memo for the evaluator's lifetime."""
+
+    def test_agrees_with_translating_first_on_the_corpus(self):
+        for case in default_cases():
+            ev = Evaluator(case.model)
+            for text in case.formulas.values():
+                formula = parse_state_formula(text)
+                expected = Evaluator(case.model).extension(to_mu(formula))
+                assert ev.extension_of(formula) == expected, (case.name, text)
+
+    def test_agrees_with_translating_first_on_random_formulas(self):
+        rng = make_rng(7310)
+        for draw in range(300):
+            model = random_model(rng, max_states=4, max_agents=2)
+            props = model.props_used()
+            ev = Evaluator(model)
+            for formula in (
+                random_state_formula(rng, props, 3, model.agents),
+                strategic(random_assignment(
+                    rng, model.agents, props, 3, allow_conjunction=True
+                )),
+            ):
+                expected = Evaluator(model).extension(to_mu(formula))
+                assert ev.extension_of(formula) == expected, (draw, str(formula))
+
+    def test_asking_twice_translates_once(self, monkeypatch):
+        calls = []
+        translate = _Translator._state
+
+        def counting(self, phi):
+            calls.append(phi)
+            return translate(self, phi)
+
+        monkeypatch.setattr(_Translator, "_state", counting)
+        case = example_b()
+        formula = parse_state_formula(case.formulas["gammaB"])
+        ev = Evaluator(case.model)
+        first = ev.extension_of(formula)
+        translated = len(calls)
+        assert translated > 0
+        assert ev.extension_of(formula) == first
+        assert ev.extension_of(parse_state_formula(case.formulas["gammaB"])) == first
+        assert len(calls) == translated

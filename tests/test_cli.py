@@ -509,9 +509,18 @@ class TestOneStep:
              "agents of the sequent must be a JSON list"),
             ({"formulas": MIXED}, {"family": ["pq"]},
              "member 0 of the constraint family must be a JSON list"),
+            ({"formulas": MIXED, "agents": ["a", "b", "a"]}, {"family": [["p"]]},
+             "repeated names in the sequent's agents: a"),
+            ({"formulas": MIXED, "variables": ["p", "q", "r", "q"]},
+             {"family": [["p"]]},
+             "repeated names in the sequent's variables: q"),
+            ({"formulas": MIXED},
+             {"family": [["p"]], "variables": ["p", "q", "r", "r"]},
+             "repeated names in the constraint's variables: r"),
         ],
         ids=["family-as-integer", "sequent-as-list", "variables-as-integer",
-             "agents-as-string", "member-as-string"],
+             "agents-as-string", "member-as-string", "repeated-agent",
+             "repeated-sequent-variable", "repeated-constraint-variable"],
     )
     def test_wrong_json_shapes_are_invalid_input(
         self, capsys, tmp_path, sequent, constraint, message

@@ -1,5 +1,7 @@
 """One-step satisfiability: redistributions, the decision, witnesses."""
 
+import itertools
+
 import pytest
 
 from tlcga.formulas import Coalition, GoalAssignment
@@ -21,6 +23,7 @@ from tlcga.onestep import (
     witness_game_form,
 )
 from tlcga.parser import parse_state_formula
+from tlcga.sampling import make_rng, random_onestep_instance
 
 
 def phi(text):
@@ -79,8 +82,51 @@ class TestSequentConstruction:
         with pytest.raises(ValueError, match="agent set"):
             sequent_from_formulas([phi("<< {a,b} -> X p >>")], agents=["a"])
 
+    def test_repeated_names_are_rejected(self):
+        formulas = [phi("<< {a} -> X p >>")]
+        with pytest.raises(ValueError, match="sequent's agents: a"):
+            sequent_from_formulas(formulas, agents=["a", "a"])
+        with pytest.raises(ValueError, match="sequent's variables: q"):
+            sequent_from_formulas(formulas, variables=["p", "q", "q"])
+        with pytest.raises(ValueError, match="sequent's agents: a, b"):
+            OneStepSequent(("a", "b", "b", "a"), ("p",), (), ())
+        with pytest.raises(ValueError, match="constraint's variables: p"):
+            SatConstraint.over(["p", "p"], [["p"]])
+
+
+def product_redistributions(sequent):
+    """Every map from coalitions to a positive claim or a pass marker, in
+    `itertools.product` order, keeping those whose backed coalitions are
+    pairwise disjoint: the reference for the pruned walk."""
+    subsets = [
+        Coalition(members)
+        for size in range(len(sequent.agents) + 1)
+        for members in itertools.combinations(sequent.agents, size)
+    ]
+    options = [None] + list(range(len(sequent.positives)))
+    found = []
+    for choice in itertools.product(options, repeat=len(subsets)):
+        pairs = [
+            (subsets[i], index) for i, index in enumerate(choice) if index is not None
+        ]
+        if all(not first & second
+               for (first, _), (second, _) in itertools.combinations(pairs, 2)):
+            found.append(Redistribution(tuple(pairs)))
+    return found
+
 
 class TestRedistributions:
+    def test_the_walk_lists_the_disjoint_maps_in_product_order(self):
+        rng = make_rng(5150)
+        for draw in range(300):
+            sequent, _ = random_onestep_instance(rng)
+            assert redistributions(sequent) == product_redistributions(sequent), draw
+        three = sequent_from_formulas(
+            [phi("<< {a} -> X p >>"), phi("<< {b} -> X q >>"), phi("<< {c} -> X r >>")]
+        )
+        assert redistributions(three) == product_redistributions(three)
+        assert len(redistributions(three)) == 412
+
     def test_single_agent_count_matches_the_map_formula(self):
         sequent = sequent_from_formulas(
             [phi("<< {a} -> X p >>"), phi("<< {a} -> X q >>")]

@@ -1,5 +1,7 @@
 """Strategy search, witness verification, induced plays, ATL fixpoints."""
 
+from typing import NamedTuple
+
 import pytest
 
 from test_stability import eval_on_lasso, play_lasso
@@ -13,7 +15,15 @@ from tlcga.corpus import (
     example_b_gamma_prime,
     password,
 )
-from tlcga.formulas import GoalAssignment, Globally, Next, Prop, Strategic, Until
+from tlcga.formulas import (
+    GoalAssignment,
+    Globally,
+    Next,
+    Prop,
+    Strategic,
+    Until,
+    path_conjuncts,
+)
 from tlcga.parser import parse_path_formula, parse_state_formula
 from tlcga.sampling import DEFAULT_SEED, make_rng, random_oracle_query
 from tlcga.strategies import (
@@ -23,9 +33,10 @@ from tlcga.strategies import (
     PartialStrategyError,
     POSITIONAL,
     WitnessSearchResult,
+    _Closure,
     _completed,
     _goal_extensions,
-    _holds_on_product,
+    _goal_failures,
     atl_check,
     atl_holds,
     find_witness,
@@ -48,6 +59,19 @@ class _MissingEntry(Exception):
     def __init__(self, agent, memory):
         self.agent = agent
         self.memory = memory
+
+
+class _Judged(NamedTuple):
+    """A complete reference closure in the shape `_goal_failures` reads."""
+
+    root: tuple
+    order: list
+    edges: dict
+    complete: bool = True
+
+    @property
+    def head(self):
+        return len(self.order)
 
 
 def reference_closure(index, start, mode, coalition, lookup):
@@ -113,8 +137,8 @@ def reference_find_witness(model, state, assignment, mode, limit):
             order, edges = reference_closure(
                 index, state, mode, coalition, candidate.action
             )
-            root = initial_memory(state)
-            if not _holds_on_product(goal, root, order, edges, extensions):
+            judged = _Judged(initial_memory(state), order, edges)
+            if next(_goal_failures(goal, judged, extensions), None):
                 return False
         return True
 
@@ -466,6 +490,78 @@ class TestSearchAgreesWithReference:
     def test_random_queries(self, seed):
         modes = self._agree(_random_queries(seed, 100))
         assert modes == {"positional", "path", "play"}
+
+
+class TestGoalJudgmentSinceMarks:
+    """`_goal_failures` judged since each successive mark of a growing
+    closure adds up to the judgment of the complete closure, and reports
+    each failure at the step that first shows it."""
+
+    @staticmethod
+    def _grow_and_judge(rng, index, state, mode, coalition, parts, extensions):
+        """Grow a closure step by step under random decisions, judging each
+        part since the mark taken before every step. Returns the closure,
+        its mark after each step, and per part the (step, failure) pairs."""
+        closure = _Closure(index, state, mode, coalition)
+        decisions = {}
+        lookup = lambda agent, memory: decisions.get((agent, memory))
+        after, judged = [], {part: [] for part in parts}
+        while True:
+            mark = closure.mark()
+            missing = closure.grow(lookup)
+            for part in parts:
+                for failure in _goal_failures(part, closure, extensions, mark):
+                    judged[part].append((len(after), failure))
+            after.append(closure.mark())
+            if missing is None:
+                break
+            agent, memory = missing
+            decisions[missing] = rng.choice(
+                index.model.actions_of(memory_state(memory), agent)
+            )
+        # A step taken on the complete closure judges nothing anew.
+        mark = closure.mark()
+        assert closure.grow(lookup) is None
+        for part in parts:
+            assert list(_goal_failures(part, closure, extensions, mark)) == []
+        return closure, after, judged
+
+    @staticmethod
+    def _first_showing_step(closure, after, part, memory):
+        """The step after which the closure first shows the failure."""
+        if isinstance(part, Globally):  # once `memory` is reached
+            position = closure.order.index(memory)
+            return next(k for k, (reached, _) in enumerate(after) if reached > position)
+        if isinstance(part, Next):  # once the root is expanded
+            return next(k for k, (_, head) in enumerate(after) if head > 0)
+        return len(after) - 1  # once the closure is complete
+
+    def test_marks_add_up_to_the_whole_closure(self):
+        rng = make_rng(DEFAULT_SEED + 7)
+        broken = set()
+        for draw in range(400):
+            model, state, assignment, mode = random_oracle_query(rng)
+            evaluator = Evaluator(model)
+            extensions = _goal_extensions(evaluator, assignment)
+            index = evaluator.effectivity
+            for coalition, goal in assignment:
+                parts = list(dict.fromkeys(path_conjuncts(goal)))
+                closure, after, judged = self._grow_and_judge(
+                    rng, index, state, mode, coalition, parts, extensions
+                )
+                for part in parts:
+                    label = (draw, str(part))
+                    whole = list(_goal_failures(part, closure, extensions))
+                    assert [failure for _, failure in judged[part][:1]] == whole, label
+                    # Each memory is judged once: no failure is reported twice.
+                    memories = [memory for _, (_, memory) in judged[part]]
+                    assert len(set(memories)) == len(memories), label
+                    if whole:
+                        (_, memory), = whole
+                        step = self._first_showing_step(closure, after, part, memory)
+                        assert judged[part][0][0] == step, label
+                        broken.add(type(part).__name__)
+        assert broken == {"Next", "Globally", "Until"}
 
 
 class TestOracleAgreesWithChecker:

@@ -142,18 +142,16 @@ def greatest_bisimulation(model: ConcurrentGameModel) -> frozenset:
     return _pairs(_partition_levels(Effectivity(model))[-1])
 
 
-def bisimulation_levels(model: ConcurrentGameModel) -> list[frozenset]:
-    """The refinement sequence from atom equivalence to the fixpoint."""
-    return [_pairs(level) for level in _partition_levels(Effectivity(model))]
-
-
 def are_bisimilar(
     left: ConcurrentGameModel,
     left_state: str,
     right: ConcurrentGameModel,
     right_state: str,
 ) -> bool:
-    """Bisimilarity across two models over the same agents."""
+    """Bisimilarity across two models over the same agents.
+
+    Public API (`tlcga.are_bisimilar`); nothing in the package calls it.
+    """
     union, left_map, right_map = disjoint_union(left, right)
     related = greatest_bisimulation(union)
     return (left_map[left_state], right_map[right_state]) in related
@@ -165,7 +163,9 @@ def hm_agreement(
     """Violations of formula-invariance over the greatest bisimulation.
 
     Returns every (state, state, formula) where a bisimilar pair
-    disagrees; sound semantics yield an empty list.
+    disagrees; sound semantics yield an empty list. Public API
+    (`tlcga.hm_agreement`): the paper's bisimulation invariance, as a
+    check a user can run on a model.
     """
     evaluator = Evaluator(model)
     related = _pairs(_partition_levels(evaluator.effectivity)[-1])

@@ -11,7 +11,7 @@ fixpoints found by iteration from the empty and the full state set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Mapping
 
 from .formulas import (
     And,
@@ -183,19 +183,8 @@ def check_with_stats(
 
 
 def valid_on(model: ConcurrentGameModel, phi: StateFormula) -> bool:
-    """Whether the formula holds at every state of the model."""
+    """Whether the formula holds at every state of the model.
+
+    Public API (`tlcga.valid_on`); the axiom sweeps call it too.
+    """
     return extension_of(model, phi) == frozenset(model.states)
-
-
-def falsify(
-    models: Iterable[ConcurrentGameModel],
-    formulas: Callable[[ConcurrentGameModel], Iterable[StateFormula]],
-) -> Optional[tuple[ConcurrentGameModel, str, StateFormula]]:
-    """First (model, state, formula) where a candidate validity fails."""
-    for model in models:
-        for phi in formulas(model):
-            ext = extension_of(model, phi)
-            for state in model.states:
-                if state not in ext:
-                    return model, state, phi
-    return None

@@ -157,8 +157,8 @@ def _parse_params(text: Optional[str]) -> dict:
     for piece in text.split(","):
         if "=" not in piece:
             raise UsageError("--params expects k=v pairs, got %r" % piece)
-        key, value = piece.split("=", 1)
-        params[key.strip()] = int(value) if value.isdigit() else value.strip()
+        key, value = (part.strip() for part in piece.split("=", 1))
+        params[key] = int(value) if value.isdecimal() else value
     return params
 
 

@@ -448,7 +448,12 @@ def case_names() -> list[str]:
 
 
 def default_cases() -> list[CorpusCase]:
-    """The concrete instances that test sweeps iterate over."""
+    """The concrete instances that test sweeps iterate over.
+
+    Every parameter-free case plus the two smallest river crossings,
+    each with its recorded answers; kept here, next to the builders,
+    as the corpus's one list of ready-made instances.
+    """
     return [
         example_a(),
         example_b(),

@@ -425,10 +425,6 @@ class GoalAssignment:
         kept.append((wanted, goal))
         return GoalAssignment(kept)
 
-    def drop(self, coalition: Iterable[str]) -> "GoalAssignment":
-        """Exclude a coalition from the support."""
-        return self.update(coalition, TRIVIAL_GOAL)
-
     def drop_conjunct(self, coalition: Iterable[str], conjunct: PathFormula) -> "GoalAssignment":
         """Remove one conjunct of a coalition's goal, keeping the rest."""
         wanted = Coalition(coalition)

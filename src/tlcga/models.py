@@ -129,28 +129,8 @@ class ConcurrentGameModel:
                 % (state, format_profile(self.agents, profile))
             ) from None
 
-    def successors(self, state: str) -> frozenset[str]:
-        return frozenset(self.out(state, profile) for profile in self.profiles(state))
-
     def profile_as_mapping(self, profile: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.agents, profile))
-
-    def out_set(
-        self, state: str, coalition: Iterable[str], joint: Mapping[str, str]
-    ) -> frozenset[str]:
-        """Outcomes of all profiles extending the coalition's joint action."""
-        members = sorted(set(coalition))
-        for agent in members:
-            if joint.get(agent) not in self.actions_of(state, agent):
-                raise InvalidModelError(
-                    "joint action %s of agent %s unavailable at %s"
-                    % (joint.get(agent), agent, state)
-                )
-        index = Effectivity(self)
-        blocks = index.blocks(state, index.positions(members))
-        return blocks.outcomes[
-            blocks.of_restriction[tuple(joint[agent] for agent in members)]
-        ]
 
     def validate(self) -> list[str]:
         """Well-formedness violations: the model rules `from_json_dict` enforces."""

@@ -9,8 +9,10 @@ below every member of S. The decision procedure reduces this to two
 combinatorial conditions over redistributions: ways of handing each of
 a few pairwise disjoint coalitions one positive assignment to act on.
 One blocking rule (`_blocker`) answers, per redistribution and negative
-claim, which coalition the others can block and under which member; the
-verdict, the certificate and the witness game form all read it.
+claim, which coalition the others can block and under which member. One
+walk over the redistributions (`_walk`) applies it and the covering
+rule; the verdict, the certificate and the witness game form all read
+that walk.
 
 Coalitions in sequent supports must be non-empty: an empty coalition
 would force its variable into every outcome, which the redistribution
@@ -378,6 +380,41 @@ def _require_same_universe(
         )
 
 
+_Blocks = tuple[tuple[Coalition, Optional[frozenset[str]]], ...]
+_Plan = tuple[tuple[Redistribution, frozenset[str], _Blocks], ...]
+
+
+def _walk(
+    sequent: OneStepSequent, constraint: SatConstraint
+) -> tuple[Optional[SatCertificate], _Plan]:
+    """Check both conditions on every redistribution, in canonical order.
+
+    Stops at the first failure and returns its certificate. Otherwise
+    returns, per redistribution, its covering member (condition 1) and
+    the blocked coalition and member `_blocker` gives each negative
+    claim (condition 2): the verdict and the witness both read this.
+    """
+    _require_same_universe(sequent, constraint)
+    plan = []
+    for redistribution in redistributions(sequent):
+        needed = forced(sequent, redistribution)
+        default = constraint.covering(needed)
+        if default is None:
+            pairs = redistribution.resolve(sequent)
+            return SatCertificate(pairs, None, ((None, needed),)), ()
+        blocks = []
+        for negative in sequent.negatives:
+            blocked, member, needs = _blocker(
+                sequent, constraint, redistribution, negative
+            )
+            if blocked is None:
+                pairs = redistribution.resolve(sequent)
+                return SatCertificate(pairs, negative, needs), ()
+            blocks.append((blocked, member))
+        plan.append((redistribution, default, tuple(blocks)))
+    return None, tuple(plan)
+
+
 def sequent_satisfiable(
     sequent: OneStepSequent, constraint: SatConstraint
 ) -> SatResult:
@@ -389,20 +426,8 @@ def sequent_satisfiable(
     grand coalition when its variable is in every member, any other
     when the combined forced set fits some member.
     """
-    _require_same_universe(sequent, constraint)
-    for redistribution in redistributions(sequent):
-        needed = forced(sequent, redistribution)
-        if constraint.covering(needed) is None:
-            pairs = redistribution.resolve(sequent)
-            return SatResult(False, SatCertificate(pairs, None, ((None, needed),)))
-        for negative in sequent.negatives:
-            blocked, _, needs = _blocker(
-                sequent, constraint, redistribution, negative
-            )
-            if blocked is None:
-                pairs = redistribution.resolve(sequent)
-                return SatResult(False, SatCertificate(pairs, negative, needs))
-    return SatResult(True, None)
+    certificate, _ = _walk(sequent, constraint)
+    return SatResult(certificate is None, certificate)
 
 
 def _dnf(phi: StateFormula) -> list[list[StateFormula]]:
@@ -432,7 +457,9 @@ def formula_satisfiable(
 
     Expands to disjunctive normal form and accepts when any branch's
     sequent is satisfiable. The agent universe defaults to every agent
-    the whole formula mentions, so all branches share it.
+    the whole formula mentions, so all branches share it. This is the
+    paper's one-step satisfiability, stated for one-step formulas rather
+    than sequents; nothing in the package calls it.
     """
     branches = _dnf(phi)
     if agents is None:
@@ -614,27 +641,20 @@ def witness_game_form(
     single member, one action per agent suffices: its outcome is that
     member, which covers everything any positive forces.
     """
-    verdict = sequent_satisfiable(sequent, constraint)
-    if not verdict:
+    certificate, plan = _walk(sequent, constraint)
+    if certificate is not None:
         raise ValueError(
-            "sequent is not satisfiable under the constraint: %s"
-            % verdict.certificate
+            "sequent is not satisfiable under the constraint: %s" % certificate
         )
-    every = redistributions(sequent)
+    default = {redistribution: member for redistribution, member, _ in plan}
 
     if not sequent.negatives and len(constraint.family) == 1:
-        member = constraint.family[0]
         return OneStepGameForm(
             agents=sequent.agents,
             actions=(GameFormAction(claim=None, planner=0, bet=0),),
-            planners=({redistribution: member for redistribution in every},),
+            planners=(default,),
             sequent=sequent,
         )
-
-    default = {
-        redistribution: constraint.covering(forced(sequent, redistribution))
-        for redistribution in every
-    }
 
     planners: list[dict] = [default]
     overrides: set[tuple[Redistribution, frozenset[str]]] = set()
@@ -642,17 +662,14 @@ def witness_game_form(
     def override(residue: Redistribution, member: frozenset[str]) -> None:
         if default[residue] != member and (residue, member) not in overrides:
             overrides.add((residue, member))
-            plan = dict(default)
-            plan[residue] = member
-            planners.append(plan)
+            table = dict(default)
+            table[residue] = member
+            planners.append(table)
 
     for member in constraint.family:
         override(Redistribution(()), member)
-    for redistribution in every:
-        for negative in sequent.negatives:
-            blocked, member, _ = _blocker(
-                sequent, constraint, redistribution, negative
-            )
+    for redistribution, _, blocks in plan:
+        for blocked, member in blocks:
             if member is not None:
                 override(redistribution.restricted(blocked), member)
 

@@ -316,7 +316,7 @@ def parse_state_formula(text: str, dialect: str = "tlcga_plus") -> StateFormula:
 
 
 def parse_path_formula(text: str, dialect: str = "tlcga_plus") -> PathFormula:
-    """Parse a bare goal, used by corpus builders and tests."""
+    """Parse a bare goal. Public API (`tlcga.parse_path_formula`)."""
     parser = _Parser(text, dialect)
     goal = parser.parse_path()
     end = parser.peek()

@@ -159,40 +159,6 @@ def random_memory_mode(rng: random.Random) -> MemoryMode:
     )
 
 
-def random_fixpoint_case(
-    rng: random.Random,
-) -> tuple[ConcurrentGameModel, GoalAssignment]:
-    """A model of at most six states with an assignment of at most
-    three coalitions, for unfolding/translation agreement sweeps."""
-    model = random_model(rng, max_states=6)
-    assignment = random_assignment(
-        rng,
-        model.agents,
-        model.props_used(),
-        max_coalitions=3,
-        allow_conjunction=True,
-        allow_empty_coalition=True,
-    )
-    return model, assignment
-
-
-def random_atl_query(
-    rng: random.Random, model: ConcurrentGameModel
-) -> tuple[Coalition, PathFormula]:
-    """A single-coalition, single-goal query over the model's alphabet."""
-    coalition = random_coalition(rng, model.agents, allow_empty=True)
-    props = model.props_used()
-    body = lambda: random_state_formula(rng, props, 1)
-    roll = rng.random()
-    if roll < 1 / 3:
-        goal: PathFormula = Next(body())
-    elif roll < 2 / 3:
-        goal = Until(body(), body())
-    else:
-        goal = Globally(body())
-    return coalition, goal
-
-
 def random_oracle_query(
     rng: random.Random,
 ) -> tuple[ConcurrentGameModel, str, GoalAssignment, MemoryMode]:

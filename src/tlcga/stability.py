@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
-from .checking import Evaluator, check, extension_of
+from .checking import Evaluator, extension_of
 from .formulas import (
     Coalition,
     GoalAssignment,
@@ -107,6 +107,8 @@ def partition_outcomes(
     assignment: GoalAssignment,
 ) -> OutcomePartition:
     """Evaluate every supported goal on the profile's induced play."""
+    if not model.has_state(state):
+        raise ValueError("unknown state %s" % state)
     holds = play_goals(Evaluator(model), state, profile, assignment)
     winning = []
     losing = []
@@ -227,15 +229,6 @@ def coequilibrium_ga(assignment: GoalAssignment, agents) -> GoalAssignment:
     )
 
 
-def check_coequilibrium(
-    model: ConcurrentGameModel, state: str, assignment: GoalAssignment
-) -> bool:
-    """Whether a co-equilibrium for the assignment exists at the state."""
-    return check(
-        model, state, strategic(coequilibrium_ga(assignment, model.agents))
-    )
-
-
 def deviation_ga(
     assignment: GoalAssignment, coalition: Coalition
 ) -> GoalAssignment:
@@ -250,16 +243,6 @@ def deviation_ga(
     return GoalAssignment(
         [(Coalition(coalition), merge_goals(goals[a] for a in members))]
     )
-
-
-def has_beneficial_deviation(
-    model: ConcurrentGameModel,
-    state: str,
-    coalition: Coalition,
-    assignment: GoalAssignment,
-) -> bool:
-    """Whether the coalition can force all its members' goals."""
-    return check(model, state, strategic(deviation_ga(assignment, coalition)))
 
 
 def core_membership_formula(

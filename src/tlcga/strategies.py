@@ -23,7 +23,7 @@ from .formulas import (
     Until,
     path_conjuncts,
 )
-from .models import ConcurrentGameModel, Effectivity
+from .models import ConcurrentGameModel, Effectivity, _expect
 
 
 class PartialStrategyError(ValueError):
@@ -169,13 +169,17 @@ def parse_rendered_memory(text: str) -> tuple:
 
 def profile_from_json_dict(data) -> FiniteStrategyProfile:
     try:
-        mode = parse_memory_mode(data["mode"])
+        mode = parse_memory_mode(_expect(data["mode"], str, "mode of the profile"))
         tables = {
             agent: {
-                parse_rendered_memory(entry["memory"]): entry["action"]
+                parse_rendered_memory(
+                    _expect(entry["memory"], str, "memory of agent %s" % agent)
+                ): entry["action"]
                 for entry in entries
             }
-            for agent, entries in data["tables"].items()
+            for agent, entries in _expect(
+                data["tables"], dict, "tables of the profile"
+            ).items()
         }
     except (KeyError, TypeError) as exc:
         raise ValueError("malformed strategy profile: %s" % exc) from None
@@ -385,6 +389,8 @@ def verify_witness(
     while everyone else ranges over all actions; the goal must hold on
     every play of that restricted system.
     """
+    if not model.has_state(state):
+        raise ValueError("unknown state %s" % state)
     evaluator = Evaluator(model)
     extensions = _goal_extensions(evaluator, assignment)
     index = evaluator.effectivity
@@ -535,6 +541,8 @@ def atl_check(
 
     Uses the effectivity fixpoints directly, independent of the
     translation pipeline; conjunction goals are not supported here.
+    Public API (`tlcga.atl_check`), and the independent reference the
+    checker and the oracle are compared against.
     """
     evaluator = Evaluator(model)
     index = evaluator.effectivity
@@ -567,12 +575,3 @@ def atl_check(
                 return current
             current = updated
     raise ValueError("one path goal at a time; conjunctions are not supported")
-
-
-def atl_holds(
-    model: ConcurrentGameModel,
-    state: str,
-    coalition: Iterable[str],
-    goal: PathFormula,
-) -> bool:
-    return state in atl_check(model, coalition, goal)

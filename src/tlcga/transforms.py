@@ -311,7 +311,13 @@ def to_mu(phi: StateFormula) -> StateFormula:
 
 
 def monotone_closure(assignment: GoalAssignment) -> GoalAssignment:
-    """Conjoin onto each goal the goals of all supported subcoalitions."""
+    """Conjoin onto each goal the goals of all supported subcoalitions.
+
+    The result is equivalent to the input: fixing more agents leaves
+    fewer plays, so a subcoalition's goal already holds on every play a
+    larger coalition's strategy allows. Kept as that normal form of goal
+    assignments; nothing in the package calls it.
+    """
     entries = []
     for coalition, goal in assignment:
         parts = list(path_conjuncts(goal))
@@ -377,7 +383,9 @@ def ecl(phi: StateFormula) -> frozenset[StateFormula]:
 
     The input must be in normal form. The least set containing the
     formula, closed under taking components and under the one-step
-    negation partner; finite for every input.
+    negation partner; finite for every input. This is the paper's
+    closure behind the finite model property (and so decidability);
+    nothing in the package calls it.
     """
     pending = [phi]
     closed: set[StateFormula] = set()

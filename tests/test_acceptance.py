@@ -7,7 +7,7 @@ The randomized sweeps all use fixed seeds so reruns are reproducible.
 
 import time
 
-from conftest import record_acceptance
+from conftest import random_atl_query, random_fixpoint_case, record_acceptance
 
 from tlcga.bisim import (
     are_bisimilar,
@@ -40,8 +40,6 @@ from tlcga.sampling import (
     DEFAULT_SEED,
     falsify_scheme,
     make_rng,
-    random_atl_query,
-    random_fixpoint_case,
     random_model,
     random_onestep_instance,
     random_oracle_query,

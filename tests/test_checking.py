@@ -9,7 +9,6 @@ from tlcga.checking import (
     check,
     check_with_stats,
     extension_of,
-    falsify,
     valid_on,
 )
 from tlcga.corpus import default_cases, example_a, example_b, example_b_gamma_prime, password
@@ -196,15 +195,6 @@ class TestValidity:
 
     def test_non_validity(self):
         assert valid_on(example_a().model, phi("p")) is False
-
-    def test_falsify_finds_the_failure(self):
-        found = falsify([example_a().model], lambda m: [phi("p")])
-        assert found is not None
-        model, state, formula = found
-        assert state in ("s1", "s2")
-
-    def test_falsify_passes_validities(self):
-        assert falsify([example_a().model], lambda m: [phi("p | !p")]) is None
 
     def test_extension_of_translates(self):
         model = example_b().model

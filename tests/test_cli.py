@@ -598,6 +598,59 @@ class TestStability:
         assert code == 1
 
 
+class TestProfileInput:
+    """`validate --witness` and `stability --profile` on bad input."""
+
+    GOALS = "<< {a} -> X wa; {b} -> X wa >>"
+
+    def _run(self, capsys, directory, command, profile, state):
+        model = str(directory / "model.json")
+        if command == "validate":
+            argv = ["validate", "--formula", self.GOALS, "--witness", profile]
+        else:
+            argv = ["stability", "--notion", command, "--goals", self.GOALS,
+                    "--profile", profile]
+        return run(capsys, *argv, "--model", model, "--state", state)
+
+    @pytest.mark.parametrize("command", ["validate", "nash"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("memory", 5, "memory of agent a must be a JSON string"),
+            ("tables", [], "tables of the profile must be a JSON object"),
+            ("mode", 5, "mode of the profile must be a JSON string"),
+        ],
+        ids=["memory-as-integer", "tables-as-list", "mode-as-integer"],
+    )
+    def test_malformed_profile_is_invalid_input(
+        self, capsys, tmp_path, coordination_dir, command, field, value,
+        message,
+    ):
+        document = json.loads((coordination_dir / "prof_hh.json").read_text())
+        if field == "memory":
+            document["tables"]["a"][0]["memory"] = value
+        else:
+            document[field] = value
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(document))
+        code, out, err = self._run(capsys, coordination_dir, command,
+                                   str(path), "s")
+        assert code == 2
+        assert out == ""
+        assert "invalid input: %s" % message in err
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "nash", "strong", "coalitional", "core"]
+    )
+    def test_unknown_state_is_named(self, capsys, coordination_dir, command):
+        code, out, err = self._run(capsys, coordination_dir, command,
+                                   str(coordination_dir / "prof_hh.json"),
+                                   "ghost")
+        assert code == 2
+        assert out == ""
+        assert "invalid input: unknown state ghost" in err
+
+
 class TestCorpus:
     def test_list_names_every_case(self, capsys):
         code, out, _ = run(capsys, "corpus", "--list")
@@ -614,10 +667,15 @@ class TestCorpus:
         assert model.validate() == []
         assert (tmp_path / "case.json").exists()
 
-    def test_build_with_params(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "params",
+        ["n_sheep=2,n_wolves=2,mode=simultaneous",
+         "n_sheep= 2,n_wolves=2 , mode = simultaneous"],
+        ids=["plain", "spaced"],
+    )
+    def test_build_with_params(self, capsys, tmp_path, params):
         code, _, _ = run(capsys, "corpus", "--build", "sheep-wolves",
-                         "--out", str(tmp_path),
-                         "--params", "n_sheep=2,n_wolves=2,mode=simultaneous")
+                         "--out", str(tmp_path), "--params", params)
         assert code == 0
         assert load_model(tmp_path / "model.json").has_state("s2w2L")
 
@@ -636,6 +694,10 @@ class TestCorpus:
             (
                 "n_sheep=2",
                 "parameter n_wolves must be a non-negative integer, got None",
+            ),
+            (
+                "n_sheep=\u00b2,n_wolves=1",
+                "parameter n_sheep must be a non-negative integer, got '\u00b2'",
             ),
         ],
     )

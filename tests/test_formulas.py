@@ -214,7 +214,6 @@ class TestGoalAssignment:
     def test_update_with_trivial_goal_drops_entry(self):
         start = ga((Coalition("a"), Next(P)))
         assert start.update(Coalition("a"), TRIVIAL_GOAL) == EMPTY_ASSIGNMENT
-        assert start.drop(Coalition("a")) == EMPTY_ASSIGNMENT
 
     def test_update_replaces_goal(self):
         start = ga((Coalition("a"), Next(P)), (Coalition("b"), Next(Q)))

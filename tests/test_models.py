@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tlcga.corpus import default_cases, example_a, example_b, sheep_wolves
 from tlcga.models import (
     ConcurrentGameModel,
+    Effectivity,
     InvalidModelError,
     disjoint_union,
     format_profile,
@@ -96,32 +97,43 @@ class TestValidation:
             model.states = ()
 
 
+def out_set(model, state, coalition, joint):
+    """The outcomes `Effectivity.blocks` gives the coalition's joint action."""
+    index = Effectivity(model)
+    positions = index.positions(coalition)
+    blocks = index.blocks(state, positions)
+    restriction = tuple(joint[model.agents[i]] for i in positions)
+    return blocks.outcomes[blocks.of_restriction[restriction]]
+
+
 class TestOutSets:
     def test_single_agent_restriction(self):
         model = example_b().model
-        assert model.out_set("s", ["1"], {"1": "a1"}) == {"s1", "s2"}
+        assert out_set(model, "s", ["1"], {"1": "a1"}) == {"s1", "s2"}
 
     def test_full_profile_is_deterministic(self):
         model = example_b().model
         joint = {"1": "a1", "2": "a2", "3": "a3"}
-        assert model.out_set("s", ["1", "2", "3"], joint) == {"s1"}
+        assert out_set(model, "s", ["1", "2", "3"], joint) == {"s1"}
 
     def test_empty_coalition_yields_all_successors(self):
         model = example_b().model
-        assert model.out_set("s", [], {}) == {"s1", "s2"}
-        assert model.successors("s") == {"s1", "s2"}
+        assert out_set(model, "s", [], {}) == {"s1", "s2"}
 
     def test_monotone_in_the_coalition(self):
         model = example_b().model
         joint = {"1": "a1", "2": "b2", "3": "b3"}
         for coalition in ([], ["1"], ["1", "2"], ["1", "2", "3"]):
-            smaller = model.out_set("s", coalition, joint)
-            assert model.out_set("s", ["1", "2", "3"], joint) <= smaller
+            smaller = out_set(model, "s", coalition, joint)
+            assert out_set(model, "s", ["1", "2", "3"], joint) <= smaller
 
-    def test_unavailable_action_is_rejected(self):
+    def test_unavailable_action_has_no_block(self):
         model = example_b().model
-        with pytest.raises(InvalidModelError):
-            model.out_set("s", ["1"], {"1": "zz"})
+        index = Effectivity(model)
+        blocks = index.blocks("s", index.positions(["1"]))
+        available = {(action,) for action in model.actions_of("s", "1")}
+        assert set(blocks.of_restriction) == available
+        assert ("zz",) not in blocks.of_restriction
 
 
 class TestCopySplitting:
@@ -160,7 +172,7 @@ class TestCopySplitting:
         model = tiny_loop()
         split, copies = model.scos()
         assert [copies[s] for s in model.states] == [("s#0",)]
-        assert split.successors("s#0") == {"s#0"}
+        assert Effectivity(split).blocks("s#0", ()).outcomes == ({"s#0"},)
 
 
 class TestSerialization:

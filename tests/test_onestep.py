@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tlcga import onestep
 from tlcga.formulas import Coalition, GoalAssignment
 from tlcga.onestep import (
     GameFormAction,
@@ -315,6 +316,42 @@ class TestWitnessGameForm:
         )
         report = validate_game_form(broken, sequent, family)
         assert any("escapes the constraint" in line for line in report)
+
+
+class TestOneWalk:
+    """The verdict and the witness each walk the redistributions once."""
+
+    def test_decide_and_witness_walk_once_each(self, monkeypatch):
+        calls = []
+        walk = onestep.redistributions
+
+        def counted(sequent):
+            calls.append(sequent)
+            return walk(sequent)
+
+        monkeypatch.setattr(onestep, "redistributions", counted)
+        sequent, family = mixed_sequent(), constraint(["p", "q"], ["q", "r"])
+        witness_game_form(sequent, family)
+        assert len(calls) == 1
+        assert sequent_satisfiable(sequent, family)
+        assert len(calls) == 2
+
+    def test_unsatisfiable_draws_are_rejected_with_the_certificate(self):
+        rng = make_rng(6160)
+        rejected = 0
+        for _ in range(300):
+            sequent, family = random_onestep_instance(rng)
+            verdict = sequent_satisfiable(sequent, family)
+            if verdict:
+                continue
+            with pytest.raises(ValueError) as caught:
+                witness_game_form(sequent, family)
+            assert str(caught.value) == (
+                "sequent is not satisfiable under the constraint: %s"
+                % verdict.certificate
+            )
+            rejected += 1
+        assert rejected > 100
 
 
 class TestBruteForceOracle:

@@ -1,5 +1,7 @@
 """Seeded generators: determinism, well-formedness, harness sanity."""
 
+from conftest import random_atl_query, random_fixpoint_case
+
 from tlcga.checking import valid_on
 from tlcga.formulas import GoalAssignment, Implies, Next, Prop, strategic
 from tlcga.sampling import (
@@ -7,8 +9,6 @@ from tlcga.sampling import (
     falsify_scheme,
     make_rng,
     random_assignment,
-    random_atl_query,
-    random_fixpoint_case,
     random_model,
     random_oracle_query,
     random_scheme_params,

@@ -29,12 +29,10 @@ from tlcga.stability import (
     GoalNegationError,
     OutcomePartition,
     _first_step_improves,
-    check_coequilibrium,
     coalitional_ga,
     coequilibrium_ga,
     core_membership_formula,
     deviation_ga,
-    has_beneficial_deviation,
     has_unilateral_improvement,
     individual_goals,
     merge_goals,
@@ -428,8 +426,9 @@ class TestCoequilibrium:
     def test_checking_the_safety_walk(self):
         model = safety_walk()
         gamma = GoalAssignment({("a",): Globally(P), ("b",): Globally(Q)})
-        assert check_coequilibrium(model, "g", gamma)
-        assert not check_coequilibrium(model, "d", gamma)
+        restricted = strategic(coequilibrium_ga(gamma, model.agents))
+        assert check(model, "g", restricted)
+        assert not check(model, "d", restricted)
 
 
 class TestCore:
@@ -449,13 +448,15 @@ class TestCore:
     def test_matching_pennies_losers_cannot_force_a_win(self):
         model = one_shot(win_a=["hh", "tt"], win_b=["ht", "th"])
         gamma = COORDINATION
-        assert not has_beneficial_deviation(model, "s", Coalition("a"), gamma)
+        deviation = strategic(deviation_ga(gamma, Coalition("a")))
+        assert not check(model, "s", deviation)
         assert check(model, "s", core_membership_formula(gamma, ["a"]))
 
     def test_a_forcing_loser_breaks_membership(self):
         model = one_shot(win_a=["hh", "ht"], win_b=[])
         gamma = COORDINATION
-        assert has_beneficial_deviation(model, "s", Coalition("a"), gamma)
+        deviation = strategic(deviation_ga(gamma, Coalition("a")))
+        assert check(model, "s", deviation)
         assert not check(model, "s", core_membership_formula(gamma, ["a"]))
 
     def test_deviation_goal_requires_individual_goals(self):

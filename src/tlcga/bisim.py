@@ -248,6 +248,9 @@ def distinguishing_formula(
     against the evaluator before being returned; None when the states
     are bisimilar.
     """
+    for state in (s1, s2):
+        if not model.has_state(state):
+            raise ValueError("unknown state %s" % state)
     evaluator = Evaluator(model)
     chars = _Characteristics(evaluator.effectivity)
     if chars.levels[-1][s1] == chars.levels[-1][s2]:

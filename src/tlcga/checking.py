@@ -103,7 +103,9 @@ class Evaluator:
         if isinstance(phi, Or):
             return self.extension(phi.left, env) | self.extension(phi.right, env)
         if isinstance(phi, Implies):
-            raise ValueError("implication must be desugared before evaluation")
+            raise ValueError(
+                "implication must be translated by to_mu before evaluation"
+            )
         if isinstance(phi, Strategic):
             return self._strategic(phi.assignment, env)
         if isinstance(phi, Mu):

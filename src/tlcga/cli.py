@@ -13,6 +13,7 @@ error, 2 invalid input, 3 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -31,13 +32,12 @@ from .models import (
     _expect,
     _names,
     disjoint_union,
-    load_model,
+    from_json_dict,
     save_model,
 )
 from .parser import parse_state_formula
 from .sampling import DEFAULT_SEED, falsify_scheme
 from .strategies import (
-    FiniteStrategyProfile,
     find_witness,
     parse_memory_mode,
     profile_from_json_dict,
@@ -126,30 +126,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _model_source(parser: argparse.ArgumentParser, required=True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--model", help="model JSON file")
-    group.add_argument(
-        "--corpus-case", help="built-in case name instead of a model file"
-    )
-    parser.add_argument(
-        "--params",
-        default=None,
-        help="corpus case parameters as k=v,k=v (sheep-wolves only)",
-    )
-
-
-def _formula_source(parser, flag="--formula", required=True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument(flag, help="formula in concrete syntax")
-    group.add_argument(
-        flag + "-file", help="file containing the formula text"
-    )
-    group.add_argument(
-        flag + "-name", help="formula name from the corpus case"
-    )
-
-
 def _parse_params(text: Optional[str]) -> dict:
     params: dict = {}
     if not text:
@@ -162,39 +138,92 @@ def _parse_params(text: Optional[str]) -> dict:
     return params
 
 
-def _load_case_and_model(args):
-    if getattr(args, "corpus_case", None):
-        case = corpus_mod.build_case(
-            args.corpus_case, **_parse_params(args.params)
-        )
-        return case, case.model
-    if args.params:
-        raise UsageError("--params only applies to --corpus-case")
-    return None, load_model(args.model)
+def _build_case(name: str, params: Optional[str]) -> corpus_mod.CorpusCase:
+    params = _parse_params(params)
+    try:
+        return corpus_mod.build_case(name, **params)
+    except KeyError:  # build_case raises it only for a name outside the registry
+        raise ValueError("unknown corpus case %s" % name) from None
 
 
-def _resolve_formula(args, case, flag="formula") -> StateFormula:
+def _read_json(path: str):
+    """The document in JSON file `path`; not JSON is invalid input naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError("%s is not valid JSON: %s" % (path, err)) from None
+        except RecursionError:
+            raise ValueError("%s is nested too deeply to read" % path) from None
+
+
+def _read_formula(args, flag: str, case) -> StateFormula:
     text = getattr(args, flag)
     file_arg = getattr(args, flag + "_file")
-    name_arg = getattr(args, flag + "_name")
     if text is None and file_arg is not None:
         with open(file_arg, "r", encoding="utf-8") as handle:
             text = handle.read().strip()
-    if text is None and name_arg is not None:
+    if text is None:
+        name = getattr(args, flag + "_name")
         if case is None:
-            raise UsageError(
-                "--%s-name needs --corpus-case" % flag.replace("_", "-")
-            )
-        text = case.formulas[name_arg]
+            raise UsageError("--%s-name needs --corpus-case" % flag)
+        if name not in case.formulas:
+            raise ValueError("unknown formula name %s" % name)
+        text = case.formulas[name]
     return parse_state_formula(text)
 
 
-def _resolve_state(args, case) -> str:
-    if args.state is not None:
-        return args.state
-    if case is not None:
-        return case.start
-    raise UsageError("--state is required with --model")
+# The JSON documents besides the model, in the order `_resolve` reads
+# them, each with its decoder.
+_DOCUMENTS = (
+    ("other", from_json_dict),
+    ("witness", profile_from_json_dict),
+    ("profile", profile_from_json_dict),
+    ("sequent", functools.partial(_expect, kind=dict, what="the sequent document")),
+    (
+        "constraint",
+        functools.partial(_expect, kind=dict, what="the constraint document"),
+    ),
+)
+
+
+def _resolve(args, report: RunReport) -> None:
+    """Read the inputs `args.inputs` declares, replacing each on `args`.
+
+    The order is fixed: the model source, the formula, the default
+    `--state`, the JSON documents, then every state name. Each name the
+    user gave is checked here, and the report's model hash, formula and
+    state are filled, so a handler only computes its answer.
+    """
+    case = None
+    if "model" in args.inputs:
+        if args.corpus_case is not None:
+            case = _build_case(args.corpus_case, args.params)
+            args.model = case.model
+        elif args.params:
+            raise UsageError("--params only applies to --corpus-case")
+        else:
+            args.model = from_json_dict(_read_json(args.model))
+        report.model_hash = args.model.content_hash()
+    for flag in ("formula", "goals"):
+        if flag in args.inputs:
+            setattr(args, flag, _read_formula(args, flag, case))
+            report.formula = str(getattr(args, flag))
+    if "state" in args.inputs:
+        if args.state is None:
+            if case is None:
+                raise UsageError("--state is required with --model")
+            args.state = case.start
+        report.result["state"] = args.state
+    for dest, decode in _DOCUMENTS:
+        if getattr(args, dest, None) is not None:
+            setattr(args, dest, decode(_read_json(getattr(args, dest))))
+    if "model" in args.inputs:
+        other = getattr(args, "other", None) or args.model
+        for dest, model in (("state", args.model), ("other_state", other)):
+            name = getattr(args, dest, None)
+            if name is not None and not model.has_state(name):
+                raise ValueError("unknown state %s" % name)
 
 
 def _strategic_assignment(phi: StateFormula) -> GoalAssignment:
@@ -205,42 +234,20 @@ def _strategic_assignment(phi: StateFormula) -> GoalAssignment:
     return phi.assignment
 
 
-def _load_profile(path: str) -> FiniteStrategyProfile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return profile_from_json_dict(json.load(handle))
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_check(args, report: RunReport) -> int:
-    case, model = _load_case_and_model(args)
-    phi = _resolve_formula(args, case)
-    state = _resolve_state(args, case)
-    outcome = check_with_stats(model, state, phi)
-    report.model_hash = model.content_hash()
-    report.formula = str(phi)
-    report.result["state"] = state
+    outcome = check_with_stats(args.model, args.state, args.formula)
     report.result["holds"] = outcome.holds
     report.counters["iterations"] = outcome.iterations
     return 0
 
 
 def _cmd_oracle(args, report: RunReport) -> int:
-    case, model = _load_case_and_model(args)
-    phi = _resolve_formula(args, case)
-    state = _resolve_state(args, case)
-    assignment = _strategic_assignment(phi)
+    assignment = _strategic_assignment(args.formula)
     mode = parse_memory_mode(args.mode)
-    found = find_witness(model, state, assignment, mode, limit=args.limit)
-    report.model_hash = model.content_hash()
-    report.formula = str(phi)
-    report.result["state"] = state
+    found = find_witness(args.model, args.state, assignment, mode, limit=args.limit)
     report.result["mode"] = str(mode)
     report.result["outcome"] = found.outcome
     if found.witness is not None:
@@ -254,15 +261,8 @@ def _cmd_oracle(args, report: RunReport) -> int:
 
 
 def _cmd_validate(args, report: RunReport) -> int:
-    case, model = _load_case_and_model(args)
-    phi = _resolve_formula(args, case)
-    state = _resolve_state(args, case)
-    assignment = _strategic_assignment(phi)
-    profile = _load_profile(args.witness)
-    ok, failures = verify_witness(model, state, profile, assignment)
-    report.model_hash = model.content_hash()
-    report.formula = str(phi)
-    report.result["state"] = state
+    assignment = _strategic_assignment(args.formula)
+    ok, failures = verify_witness(args.model, args.state, args.witness, assignment)
     report.result["verified"] = ok
     for index, failure in enumerate(failures):
         report.result["failure %d" % index] = failure
@@ -271,9 +271,8 @@ def _cmd_validate(args, report: RunReport) -> int:
 
 
 def _cmd_scos(args, report: RunReport) -> int:
-    _, model = _load_case_and_model(args)
+    model = args.model
     split, copies = model.scos()
-    report.model_hash = model.content_hash()
     report.result["injective before"] = model.is_injective()
     report.result["injective after"] = split.is_injective()
     report.result["states before"] = len(model.states)
@@ -288,34 +287,27 @@ def _cmd_scos(args, report: RunReport) -> int:
 
 
 def _cmd_bisim(args, report: RunReport) -> int:
-    case, model = _load_case_and_model(args)
-    report.model_hash = model.content_hash()
+    model, first, second = args.model, args.state, args.other_state
     if args.other is not None:
-        other = load_model(args.other)
-        if args.state is None or args.other_state is None:
+        if first is None or second is None:
             raise UsageError(
                 "cross-model comparison needs --state and --other-state"
             )
-        union, left_map, right_map = disjoint_union(model, other)
-        first = left_map[args.state]
-        second = right_map[args.other_state]
-        union_for_formula = union
-    else:
-        if args.state is None and args.other_state is None:
-            relation = bisim_mod.greatest_bisimulation(model)
-            proper = sorted(
-                (a, b) for a, b in relation if a < b
-            )
-            report.result["pairs"] = len(relation)
-            report.result["distinct bisimilar pairs"] = "; ".join(
-                "%s ~ %s" % pair for pair in proper
-            ) or "(none)"
-            return 0
-        if args.state is None or args.other_state is None:
-            raise UsageError("state comparison needs both --state and --other-state")
-        union_for_formula = model
-        first, second = args.state, args.other_state
-    witness = bisim_mod.distinguishing_formula(union_for_formula, first, second)
+        model, left_map, right_map = disjoint_union(model, args.other)
+        first, second = left_map[first], right_map[second]
+    elif first is None and second is None:
+        relation = bisim_mod.greatest_bisimulation(model)
+        proper = sorted(
+            (a, b) for a, b in relation if a < b
+        )
+        report.result["pairs"] = len(relation)
+        report.result["distinct bisimilar pairs"] = "; ".join(
+            "%s ~ %s" % pair for pair in proper
+        ) or "(none)"
+        return 0
+    elif first is None or second is None:
+        raise UsageError("state comparison needs both --state and --other-state")
+    witness = bisim_mod.distinguishing_formula(model, first, second)
     report.result["states"] = "%s vs %s" % (args.state, args.other_state)
     report.result["bisimilar"] = witness is None
     if witness is not None:
@@ -324,34 +316,24 @@ def _cmd_bisim(args, report: RunReport) -> int:
 
 
 def _cmd_translate(args, report: RunReport) -> int:
-    case = None
-    phi = _resolve_formula(args, case)
-    report.formula = str(phi)
-    report.result["mu-calculus"] = str(to_mu(phi))
+    report.result["mu-calculus"] = str(to_mu(args.formula))
     return 0
 
 
 def _cmd_nf(args, report: RunReport) -> int:
-    phi = _resolve_formula(args, None)
-    report.formula = str(phi)
-    report.result["normal form"] = str(normal_form(phi))
+    report.result["normal form"] = str(normal_form(args.formula))
     return 0
 
 
 def _cmd_unfold(args, report: RunReport) -> int:
-    phi = _resolve_formula(args, None)
-    assignment = _strategic_assignment(phi)
-    unfolded, _ = unfold(assignment)
-    report.formula = str(phi)
+    unfolded, _ = unfold(_strategic_assignment(args.formula))
     report.result["unfolding"] = str(unfolded)
     return 0
 
 
 def _cmd_ind(args, report: RunReport) -> int:
-    phi = _resolve_formula(args, None)
-    assignment = _strategic_assignment(phi)
+    assignment = _strategic_assignment(args.formula)
     target = parse_state_formula(args.target)
-    report.formula = str(phi)
     report.result["target"] = str(target)
     report.result["induction formula"] = str(
         induction_formula(assignment, target)
@@ -360,35 +342,28 @@ def _cmd_ind(args, report: RunReport) -> int:
 
 
 def _cmd_oplus(args, report: RunReport) -> int:
-    phi = _resolve_formula(args, None)
-    assignment = _strategic_assignment(phi)
-    extended = nexttime_extension(assignment)
-    report.formula = str(phi)
+    extended = nexttime_extension(_strategic_assignment(args.formula))
     report.result["nexttime extension"] = str(strategic(extended))
     report.counters["entries"] = len(extended)
     return 0
 
 
 def _cmd_onestep_sat(args, report: RunReport) -> int:
-    sequent_doc = _expect(_load_json(args.sequent), dict, "the sequent document")
-    texts = _names(sequent_doc.get("formulas"), "formulas of the sequent")
+    texts = _names(args.sequent.get("formulas"), "formulas of the sequent")
     universes = {
-        key: _names(sequent_doc[key], "%s of the sequent" % key)
+        key: _names(args.sequent[key], "%s of the sequent" % key)
         for key in ("agents", "variables")
-        if sequent_doc.get(key) is not None
+        if args.sequent.get(key) is not None
     }
     sequent = onestep_mod.sequent_from_formulas(
         [parse_state_formula(text) for text in texts], **universes
     )
-    constraint_doc = _expect(
-        _load_json(args.constraint), dict, "the constraint document"
-    )
-    members = _expect(constraint_doc.get("family"), list, "family of the constraint")
+    members = _expect(args.constraint.get("family"), list, "family of the constraint")
     family = [
         _names(member, "member %d of the constraint family" % number)
         for number, member in enumerate(members)
     ]
-    variables = constraint_doc.get("variables")
+    variables = args.constraint.get("variables")
     if variables is None:
         variables = sorted(
             set(sequent.variables) | {v for member in family for v in member}
@@ -415,12 +390,8 @@ def _cmd_onestep_sat(args, report: RunReport) -> int:
 
 
 def _cmd_stability(args, report: RunReport) -> int:
-    case, model = _load_case_and_model(args)
-    state = _resolve_state(args, case)
-    assignment = _strategic_assignment(_resolve_formula(args, case, "goals"))
-    report.model_hash = model.content_hash()
-    report.formula = str(strategic(assignment))
-    report.result["state"] = state
+    model, state, profile = args.model, args.state, args.profile
+    assignment = _strategic_assignment(args.goals)
     report.result["notion"] = args.notion
 
     if args.notion == "coeq":
@@ -429,15 +400,13 @@ def _cmd_stability(args, report: RunReport) -> int:
         report.result["co-equilibrium exists"] = check_with_stats(
             model, state, strategic(restricted)
         ).holds
-        if args.profile:
-            profile = _load_profile(args.profile)
+        if profile is not None:
             ok, _ = verify_witness(model, state, profile, restricted)
             report.result["profile witnesses it"] = ok
         return 0
 
-    if args.profile is None:
+    if profile is None:
         raise UsageError("--profile is required for notion %s" % args.notion)
-    profile = _load_profile(args.profile)
     partition = stability_mod.partition_outcomes(
         model, state, profile, assignment
     )
@@ -507,7 +476,7 @@ def _cmd_corpus(args, report: RunReport) -> int:
         raise UsageError("corpus needs --list or --build NAME")
     if not args.out:
         raise UsageError("--build needs --out DIRECTORY")
-    case = corpus_mod.build_case(args.build, **_parse_params(args.params))
+    case = _build_case(args.build, args.params)
     written = corpus_mod.write_case(case, args.out)
     report.model_hash = case.model.content_hash()
     report.result["case"] = case.name
@@ -523,71 +492,89 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tlcga", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def add(name, handler, helptext):
+    def add(name, handler, helptext, *inputs):
+        """A subcommand whose `inputs` `_resolve` reads before `handler` runs.
+
+        The inputs are "model" (`--model` or `--corpus-case`), a formula
+        flag ("formula" or "goals"), "state" (the state the query is
+        asked at) and "other" (bisim's second model and state pair).
+        """
         p = sub.add_parser(name, help=helptext, add_help=True)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, inputs=inputs)
         _common_flags(p)
+        if "model" in inputs:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--model", help="model JSON file")
+            group.add_argument(
+                "--corpus-case", help="built-in case name instead of a model file"
+            )
+            p.add_argument(
+                "--params",
+                default=None,
+                help="corpus case parameters as k=v,k=v (sheep-wolves only)",
+            )
+        for flag in ("--formula", "--goals"):
+            if flag[2:] in inputs:
+                group = p.add_mutually_exclusive_group(required=True)
+                group.add_argument(flag, help="formula in concrete syntax")
+                group.add_argument(
+                    flag + "-file", help="file containing the formula text"
+                )
+                if "model" in inputs:
+                    group.add_argument(
+                        flag + "-name", help="formula name from the corpus case"
+                    )
+        if "state" in inputs:
+            p.add_argument("--state", default=None)
+        if "other" in inputs:
+            p.add_argument("--other", default=None, help="second model JSON file")
+            p.add_argument("--state", default=None)
+            p.add_argument("--other-state", default=None)
         return p
 
-    p = add("check", _cmd_check, "truth of a formula at a state")
-    _model_source(p)
-    _formula_source(p)
-    p.add_argument("--state", default=None)
+    add("check", _cmd_check, "truth of a formula at a state",
+        "model", "formula", "state")
 
-    p = add("oracle", _cmd_oracle, "search a memory class for a witness")
-    _model_source(p)
-    _formula_source(p)
-    p.add_argument("--state", default=None)
+    p = add("oracle", _cmd_oracle, "search a memory class for a witness",
+            "model", "formula", "state")
     p.add_argument("--mode", required=True, help="positional, path:K, play:K")
     p.add_argument("--limit", type=int, default=100000)
     p.add_argument("--save-witness", default=None,
                    help="write a found profile as JSON here")
 
-    p = add("validate", _cmd_validate, "verify a recorded strategy profile")
-    _model_source(p)
-    _formula_source(p)
-    p.add_argument("--state", default=None)
+    p = add("validate", _cmd_validate, "verify a recorded strategy profile",
+            "model", "formula", "state")
     p.add_argument("--witness", required=True, help="profile JSON file")
 
-    p = add("scos", _cmd_scos, "state-copying outcome-splitting transform")
-    _model_source(p)
+    p = add("scos", _cmd_scos, "state-copying outcome-splitting transform",
+            "model")
     p.add_argument("--out", default=None, help="write the split model here")
 
-    p = add("bisim", _cmd_bisim, "bisimulation relation and distinctions")
-    _model_source(p)
-    p.add_argument("--other", default=None, help="second model JSON file")
-    p.add_argument("--state", default=None)
-    p.add_argument("--other-state", default=None)
+    add("bisim", _cmd_bisim, "bisimulation relation and distinctions",
+        "model", "other")
 
-    p = add("translate", _cmd_translate, "translate to the fixpoint dialect")
-    _formula_source(p)
+    add("translate", _cmd_translate, "translate to the fixpoint dialect",
+        "formula")
+    add("nf", _cmd_nf, "rewrite to nexttime/long-term normal form", "formula")
+    add("unfold", _cmd_unfold, "one-step unfolding of an assignment", "formula")
 
-    p = add("nf", _cmd_nf, "rewrite to nexttime/long-term normal form")
-    _formula_source(p)
-
-    p = add("unfold", _cmd_unfold, "one-step unfolding of an assignment")
-    _formula_source(p)
-
-    p = add("ind", _cmd_ind, "induction formula with an explicit target")
-    _formula_source(p)
+    p = add("ind", _cmd_ind, "induction formula with an explicit target",
+            "formula")
     p.add_argument("--target", required=True, help="target state formula")
 
-    p = add("oplus", _cmd_oplus, "nexttime extension of an assignment")
-    _formula_source(p)
+    add("oplus", _cmd_oplus, "nexttime extension of an assignment", "formula")
 
     p = add("onestep-sat", _cmd_onestep_sat, "one-step satisfiability")
     p.add_argument("--sequent", required=True, help="sequent JSON file")
     p.add_argument("--constraint", required=True, help="constraint JSON file")
 
-    p = add("stability", _cmd_stability, "solution-concept constructions")
-    _model_source(p)
+    p = add("stability", _cmd_stability, "solution-concept constructions",
+            "model", "goals", "state")
     p.add_argument(
         "--notion",
         required=True,
         choices=("nash", "strong", "coalitional", "coeq", "core"),
     )
-    _formula_source(p, "--goals")
-    p.add_argument("--state", default=None)
     p.add_argument("--profile", default=None, help="profile JSON file")
 
     p = add("axioms", _cmd_axioms, "randomized scheme falsification")
@@ -623,6 +610,7 @@ def main(argv=None) -> int:
     )
     started = time.perf_counter()
     try:
+        _resolve(args, report)
         code = args.handler(args, report)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)

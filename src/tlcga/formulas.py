@@ -215,7 +215,7 @@ class Or(_Pair, StateFormula):
 
 
 class Implies(_Pair, StateFormula):
-    """Sugar for !left | right; eliminated by desugar before evaluation."""
+    """Sugar for !left | right; `to_mu` eliminates it before evaluation."""
 
     __slots__ = ()
 
@@ -522,51 +522,6 @@ def split_long_term_and_next(
         if next_parts:
             next_entries.append((coalition, make_path_and(next_parts)))
     return GoalAssignment(long_entries), GoalAssignment(next_entries)
-
-
-def desugar(phi: StateFormula) -> StateFormula:
-    """Eliminate Implies and the false constant.
-
-    Rewrites a -> b as !a | b and false as !true, recursing through
-    goal assignments and fixpoint bodies. The result uses only the
-    connectives the semantics is defined on.
-    """
-    if isinstance(phi, (Truth, Prop, Var)):
-        return phi
-    if isinstance(phi, Falsity):
-        return Not(TRUE)
-    if isinstance(phi, Not):
-        return Not(desugar(phi.body))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Or):
-        return Or(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return Or(Not(desugar(phi.left)), desugar(phi.right))
-    if isinstance(phi, Strategic):
-        return Strategic(
-            GoalAssignment(
-                (coalition, desugar_goal(goal))
-                for coalition, goal in phi.assignment
-            )
-        )
-    if isinstance(phi, Mu):
-        return Mu(phi.var, desugar(phi.body))
-    if isinstance(phi, Nu):
-        return Nu(phi.var, desugar(phi.body))
-    raise TypeError("not a state formula: %r" % (phi,))
-
-
-def desugar_goal(goal: PathFormula) -> PathFormula:
-    if isinstance(goal, Next):
-        return Next(desugar(goal.body))
-    if isinstance(goal, Until):
-        return Until(desugar(goal.left), desugar(goal.right))
-    if isinstance(goal, Globally):
-        return Globally(desugar(goal.body))
-    if isinstance(goal, PathAnd):
-        return PathAnd(desugar_goal(goal.left), desugar_goal(goal.right))
-    raise TypeError("not a path formula: %r" % (goal,))
 
 
 def polarity_violations(phi: StateFormula) -> list[str]:

@@ -335,6 +335,11 @@ class TestDistinguishingFormula:
     def test_none_for_bisimilar_pair(self):
         assert distinguishing_formula(duplicated_choice(), "m0", "m1") is None
 
+    @pytest.mark.parametrize("pair", [("s", "ghost"), ("ghost", "s")])
+    def test_unknown_state_is_named(self, pair):
+        with pytest.raises(ValueError, match="^unknown state ghost$"):
+            distinguishing_formula(example_a().model, *pair)
+
     def test_atom_level_split(self):
         model = example_a().model
         formula = distinguishing_formula(model, "s", "s1")

@@ -60,7 +60,7 @@ class TestEvaluatorBasics:
 
     def test_implication_must_be_translated(self):
         ev = Evaluator(example_a().model)
-        with pytest.raises(ValueError, match="desugared"):
+        with pytest.raises(ValueError, match="translated by to_mu"):
             ev.extension(Implies(Prop("p"), Prop("q")))
 
     def test_temporal_goal_needs_translation(self):

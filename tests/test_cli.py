@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import argparse
 import contextlib
 import copy
 import functools
@@ -12,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tlcga.cli import main
+from tlcga.cli import build_parser, main
 from tlcga.corpus import build_case, default_cases, write_case
 from tlcga.bisim import greatest_bisimulation
 from tlcga.models import (
@@ -228,6 +229,34 @@ class TestExitCodes:
         assert "invalid input: %s" % message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--corpus-case", "exampleA", "--formula-name", "nope"),
+             "unknown formula name nope"),
+            (("--corpus-case", "nope", "--formula", "p"),
+             "unknown corpus case nope"),
+        ],
+        ids=["formula-name", "corpus-case"],
+    )
+    def test_unknown_names_are_named(self, capsys, argv, message):
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out) == (2, "")
+        assert err == "invalid input: %s\n" % message
+
+    def test_every_name_option_comes_with_a_corpus_case(self):
+        # A --formula-name or --goals-name names a formula of the corpus
+        # case, so a subcommand without --corpus-case could never use it.
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        for name, parser in subcommands.items():
+            flags = {flag for action in parser._actions
+                     for flag in action.option_strings}
+            if any(flag.endswith("-name") for flag in flags):
+                assert "--corpus-case" in flags, name
+
     def test_bounded_oracle_exits_three(self, capsys):
         code, out, _ = run(capsys, "oracle", "--corpus-case", "exampleA",
                            "--formula-name", "gammaA", "--mode", "play:3",
@@ -380,7 +409,7 @@ class TestModelCommands:
             label = (other, first, second)
             if "ghost" in (first, second):
                 assert (code, out) == (2, ""), label
-                assert err.startswith("invalid input: 'ghost'"), label
+                assert err.startswith("invalid input: unknown state ghost"), label
                 continue
             related = (first, second) in relation
             assert code == 0, label
@@ -651,6 +680,61 @@ class TestProfileInput:
         assert "invalid input: unknown state ghost" in err
 
 
+class TestDocuments:
+    """Every JSON document is read one way; one that is not JSON is named."""
+
+    GOALS = "<< {a} -> X wa; {b} -> X wa >>"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{\n,}", "is not valid JSON: Expecting property name"),
+            (b"\xff", "is not valid JSON: 'utf-8' codec can't decode"),
+            (b"[" * 100000 + b"]" * 100000, "is nested too deeply to read"),
+        ],
+        ids=["syntax", "encoding", "depth"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        ["--model", "--other", "--witness", "--profile", "--sequent",
+         "--constraint"],
+    )
+    def test_document_that_is_not_json_is_named(self, capsys, tmp_path,
+                                                 coordination_dir, flag,
+                                                 content, message):
+        sequent = tmp_path / "sequent.json"
+        sequent.write_text(json.dumps({"formulas": TestOneStep.MIXED}))
+        constraint = tmp_path / "constraint.json"
+        constraint.write_text(json.dumps({"family": [["p"]]}))
+        paths = {
+            "--model": str(coordination_dir / "model.json"),
+            "--other": str(coordination_dir / "model.json"),
+            "--witness": str(coordination_dir / "prof_hh.json"),
+            "--profile": str(coordination_dir / "prof_hh.json"),
+            "--sequent": str(sequent),
+            "--constraint": str(constraint),
+        }
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(content)
+        paths[flag] = str(broken)
+        on_model = ("--model", paths["--model"], "--state", "s")
+        argv = {
+            "--model": ("check", *on_model, "--formula", "wa"),
+            "--other": ("bisim", *on_model, "--other", paths["--other"],
+                        "--other-state", "s"),
+            "--witness": ("validate", *on_model, "--formula", self.GOALS,
+                          "--witness", paths["--witness"]),
+            "--profile": ("stability", *on_model, "--notion", "nash",
+                          "--goals", self.GOALS, "--profile", paths["--profile"]),
+            "--sequent": ("onestep-sat", "--sequent", paths["--sequent"],
+                          "--constraint", paths["--constraint"]),
+        }
+        argv["--constraint"] = argv["--sequent"]
+        code, out, err = run(capsys, *argv[flag])
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: %s %s" % (broken, message))
+
+
 class TestCorpus:
     def test_list_names_every_case(self, capsys):
         code, out, _ = run(capsys, "corpus", "--list")
@@ -709,8 +793,10 @@ class TestCorpus:
         assert "invalid input: %s" % message in err
 
     def test_unknown_case_is_invalid_input(self, capsys, tmp_path):
-        assert run(capsys, "corpus", "--build", "nonsense",
-                   "--out", str(tmp_path))[0] == 2
+        code, out, err = run(capsys, "corpus", "--build", "nonsense",
+                             "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "invalid input: unknown corpus case nonsense\n"
 
 
 _VALID_DOCUMENTS = [case.model.to_json_dict() for case in default_cases()]

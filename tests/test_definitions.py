@@ -1,15 +1,20 @@
-"""Every definition in `src/tlcga` has a caller outside the tests, or a reason.
+"""Every definition in `src/tlcga` is reachable from a real caller, or kept for a reason.
 
-A function, class or method counts as used when some module of the
-package other than `__init__`, some file of `perfbench/` or the README
-names it outside its own body. Test-only helpers belong in `tests/`;
-the rest must be listed in `KEPT` with the reason they stay.
+A reachability scan over names. Its roots are the module-level code of
+the package outside `__init__`, every file of `perfbench/`, the README's
+words, `cli.main`, and the bodies of the `KEPT` entries. A function,
+class or method named by reached code is reached, and so is everything
+its own body names; a class's dunder methods are reached with the class,
+its other methods only by name.
+Mutually recursive helpers that nothing else calls are therefore
+unreached. Test-only helpers belong in `tests/`; the rest must be listed
+in `KEPT` with the reason they stay.
 """
 
 import ast
 import pathlib
 import re
-from collections import Counter
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tlcga"
@@ -25,44 +30,64 @@ KEPT = {
     "parse_path_formula": "public API (tlcga.parse_path_formula)",
 }
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def _names(node: ast.AST) -> Counter:
-    """How often each identifier is named, as a name or an attribute."""
-    counts: Counter = Counter()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            counts[child.id] += 1
-        elif isinstance(child, ast.Attribute):
-            counts[child.attr] += 1
-    return counts
+
+def _names(*nodes: ast.AST) -> set[str]:
+    """Every identifier the nodes name, as a name or an attribute."""
+    found = set()
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                found.add(child.attr)
+    return found
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _exempt(name: str) -> bool:
     # Dunders are called by Python; `_scheme_*` by transforms' globals() dispatch.
-    return (name.startswith("__") and name.endswith("__")) or name.startswith(
-        "_scheme_"
-    )
+    return _is_dunder(name) or name.startswith("_scheme_")
 
 
-def unreferenced() -> set[str]:
-    readers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    readers += (ROOT / "perfbench").rglob("*.py")
-    named: Counter = Counter()
-    for path in readers:
-        named += _names(ast.parse(path.read_text(encoding="utf-8")))
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    found = set()
+def unreached() -> set[str]:
+    """The non-exempt definitions of the package that no root reaches."""
+    bodies: dict[str, set[str]] = defaultdict(set)
+    roots = {"main"} | set(re.findall(r"\w+", (ROOT / "README.md").read_text("utf-8")))
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        roots |= _names(ast.parse(path.read_text("utf-8")))
     for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) or _exempt(node.name):
+        module = ast.parse(path.read_text("utf-8"))
+        if path.name != "__init__.py":
+            roots |= _names(*(s for s in module.body if not isinstance(s, _DEFINITIONS)))
+        for node in ast.walk(module):
+            if not isinstance(node, _DEFINITIONS):
                 continue
-            outside = named[node.name] - _names(node)[node.name]
-            if outside == 0 and node.name not in readme:
-                found.add(node.name)
-    return found
+            if not isinstance(node, ast.ClassDef):
+                bodies[node.name] |= _names(node)
+                continue
+            # A class reaches its bases, decorators, class-level code and
+            # dunders; its other methods are reached by name.
+            members = [child for child in node.body if isinstance(child, _DEFINITIONS)]
+            rest = [child for child in node.body if child not in members]
+            bodies[node.name] |= _names(*node.bases, *node.keywords,
+                                        *node.decorator_list, *rest)
+            bodies[node.name] |= {m.name for m in members if _is_dunder(m.name)}
+    pending = roots | {name for name in bodies if name.startswith("_scheme_")}
+    for name in KEPT:
+        pending |= bodies[name] - {name}
+    reached: set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending |= bodies.get(name, set())
+    return {name for name in bodies if not _exempt(name)} - reached
 
 
 def test_unreferenced_definitions_are_exactly_the_kept_ones():
-    assert unreferenced() == set(KEPT)
+    assert unreached() == set(KEPT)

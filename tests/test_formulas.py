@@ -33,7 +33,6 @@ from tlcga import (
     Until,
     Var,
     classify,
-    desugar,
     format_state,
     make_path_and,
     parse_state_formula,
@@ -331,16 +330,6 @@ class TestSplit:
         assert next_part == assignment
 
 
-class TestDesugar:
-    def test_implies_and_false(self):
-        phi = Implies(P, Falsity())
-        assert desugar(phi) == Or(Not(P), Not(TRUE))
-
-    def test_recurses_into_goals(self):
-        phi = Strategic(ga((Coalition("a"), Next(Implies(P, Q)))))
-        assert desugar(phi) == Strategic(ga((Coalition("a"), Next(Or(Not(P), Q)))))
-
-
 def test_strategic_factory_collapses_trivial():
     assert strategic(EMPTY_ASSIGNMENT) == TRUE
     assert strategic(ga((Coalition("a"), Next(P)))) == Strategic(
@@ -507,7 +496,6 @@ _LARGE_REPR = pytest.mark.filterwarnings("ignore:Generating overly large repr")
 @given(_state_strategy(3, ()))
 def test_node_caches_on_generated_formulas(phi):
     _check_node_caches(phi)
-    _check_node_caches(desugar(phi))
     _check_node_caches(to_mu(phi))
 
 

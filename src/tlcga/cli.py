@@ -174,17 +174,16 @@ def _read_formula(args, flag: str, case) -> StateFormula:
 
 
 # The JSON documents besides the model, in the order `_resolve` reads
-# them, each with its decoder.
-_DOCUMENTS = (
-    ("other", from_json_dict),
-    ("witness", profile_from_json_dict),
-    ("profile", profile_from_json_dict),
-    ("sequent", functools.partial(_expect, kind=dict, what="the sequent document")),
-    (
-        "constraint",
-        functools.partial(_expect, kind=dict, what="the constraint document"),
-    ),
-)
+# them: each option's help text, whether it is required, and its decoder.
+_DOCUMENTS = {
+    "other": ("second model JSON file", False, from_json_dict),
+    "witness": ("profile JSON file", True, profile_from_json_dict),
+    "profile": ("profile JSON file", False, profile_from_json_dict),
+    "sequent": ("sequent JSON file", True, functools.partial(
+        _expect, kind=dict, what="the sequent document")),
+    "constraint": ("constraint JSON file", True, functools.partial(
+        _expect, kind=dict, what="the constraint document")),
+}
 
 
 def _resolve(args, report: RunReport) -> None:
@@ -215,8 +214,8 @@ def _resolve(args, report: RunReport) -> None:
                 raise UsageError("--state is required with --model")
             args.state = case.start
         report.result["state"] = args.state
-    for dest, decode in _DOCUMENTS:
-        if getattr(args, dest, None) is not None:
+    for dest, (_, _, decode) in _DOCUMENTS.items():
+        if dest in args.inputs and getattr(args, dest) is not None:
             setattr(args, dest, decode(_read_json(getattr(args, dest))))
     if "model" in args.inputs:
         other = getattr(args, "other", None) or args.model
@@ -497,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
         The inputs are "model" (`--model` or `--corpus-case`), a formula
         flag ("formula" or "goals"), "state" (the state the query is
-        asked at) and "other" (bisim's second model and state pair).
+        asked at) and the JSON documents of `_DOCUMENTS`; "other" is
+        bisim's second model, and brings its state pair.
         """
         p = sub.add_parser(name, help=helptext, add_help=True)
         p.set_defaults(handler=handler, inputs=inputs)
@@ -526,8 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
                     )
         if "state" in inputs:
             p.add_argument("--state", default=None)
+        for dest, (text, required, _) in _DOCUMENTS.items():
+            if dest in inputs:
+                p.add_argument("--" + dest, required=required, help=text)
         if "other" in inputs:
-            p.add_argument("--other", default=None, help="second model JSON file")
             p.add_argument("--state", default=None)
             p.add_argument("--other-state", default=None)
         return p
@@ -542,9 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-witness", default=None,
                    help="write a found profile as JSON here")
 
-    p = add("validate", _cmd_validate, "verify a recorded strategy profile",
-            "model", "formula", "state")
-    p.add_argument("--witness", required=True, help="profile JSON file")
+    add("validate", _cmd_validate, "verify a recorded strategy profile",
+        "model", "formula", "state", "witness")
 
     p = add("scos", _cmd_scos, "state-copying outcome-splitting transform",
             "model")
@@ -564,18 +565,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("oplus", _cmd_oplus, "nexttime extension of an assignment", "formula")
 
-    p = add("onestep-sat", _cmd_onestep_sat, "one-step satisfiability")
-    p.add_argument("--sequent", required=True, help="sequent JSON file")
-    p.add_argument("--constraint", required=True, help="constraint JSON file")
+    add("onestep-sat", _cmd_onestep_sat, "one-step satisfiability",
+        "sequent", "constraint")
 
     p = add("stability", _cmd_stability, "solution-concept constructions",
-            "model", "goals", "state")
+            "model", "goals", "state", "profile")
     p.add_argument(
         "--notion",
         required=True,
         choices=("nash", "strong", "coalitional", "coeq", "core"),
     )
-    p.add_argument("--profile", default=None, help="profile JSON file")
 
     p = add("axioms", _cmd_axioms, "randomized scheme falsification")
     p.add_argument("--samples", type=int, default=100)

@@ -79,7 +79,9 @@ def unreached() -> set[str]:
             bodies[node.name] |= {m.name for m in members if _is_dunder(m.name)}
     pending = roots | {name for name in bodies if name.startswith("_scheme_")}
     for name in KEPT:
-        pending |= bodies[name] - {name}
+        # `get`, not indexing: a KEPT name that is no longer defined must
+        # not become a definition, so the final comparison catches it.
+        pending |= bodies.get(name, set()) - {name}
     reached: set[str] = set()
     while pending:
         name = pending.pop()

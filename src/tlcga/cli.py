@@ -33,6 +33,8 @@ from .models import (
     _names,
     disjoint_union,
     from_json_dict,
+    load_model,
+    read_json,
     save_model,
 )
 from .parser import parse_state_formula
@@ -146,17 +148,6 @@ def _build_case(name: str, params: Optional[str]) -> corpus_mod.CorpusCase:
         raise ValueError("unknown corpus case %s" % name) from None
 
 
-def _read_json(path: str):
-    """The document in JSON file `path`; not JSON is invalid input naming the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValueError("%s is not valid JSON: %s" % (path, err)) from None
-        except RecursionError:
-            raise ValueError("%s is nested too deeply to read" % path) from None
-
-
 def _read_formula(args, flag: str, case) -> StateFormula:
     text = getattr(args, flag)
     file_arg = getattr(args, flag + "_file")
@@ -202,7 +193,7 @@ def _resolve(args, report: RunReport) -> None:
         elif args.params:
             raise UsageError("--params only applies to --corpus-case")
         else:
-            args.model = from_json_dict(_read_json(args.model))
+            args.model = load_model(args.model)
         report.model_hash = args.model.content_hash()
     for flag in ("formula", "goals"):
         if flag in args.inputs:
@@ -216,7 +207,7 @@ def _resolve(args, report: RunReport) -> None:
         report.result["state"] = args.state
     for dest, (_, _, decode) in _DOCUMENTS.items():
         if dest in args.inputs and getattr(args, dest) is not None:
-            setattr(args, dest, decode(_read_json(getattr(args, dest))))
+            setattr(args, dest, decode(read_json(getattr(args, dest))))
     if "model" in args.inputs:
         other = getattr(args, "other", None) or args.model
         for dest, model in (("state", args.model), ("other_state", other)):
@@ -244,6 +235,8 @@ def _cmd_check(args, report: RunReport) -> int:
 
 
 def _cmd_oracle(args, report: RunReport) -> int:
+    if args.limit < 1:
+        raise UsageError("--limit must be at least 1")
     assignment = _strategic_assignment(args.formula)
     mode = parse_memory_mode(args.mode)
     found = find_witness(args.model, args.state, assignment, mode, limit=args.limit)

@@ -240,10 +240,7 @@ def _dangerous(sheep: int, wolves: int) -> bool:
 
 
 def build_river_crossing(
-    n_sheep: int,
-    n_wolves: int,
-    mode: str = "simultaneous",
-    limit: int = 20000,
+    n_sheep: int, n_wolves: int, mode: str = "simultaneous", limit: int = 20000
 ) -> tuple[ConcurrentGameModel, str]:
     """A boat puzzle where every animal is its own agent.
 
@@ -259,7 +256,9 @@ def build_river_crossing(
 
     Animals are interchangeable, so the lowest-numbered ones are deemed
     to stand on the left bank; an animal on the far side has its action
-    ignored. Returns the model and its start state.
+    ignored. So a state's transitions depend only on how many sheep and
+    how many wolves board on the boat's side: bitmasks by agent position
+    count them in each profile. Returns the model and its start state.
     """
     if mode not in ("simultaneous", "wolves_then_sheep"):
         raise ValueError("unknown mode %r" % mode)
@@ -270,101 +269,74 @@ def build_river_crossing(
     wolves = ["w%d" % (i + 1) for i in range(n_wolves)]
     agents = sorted(sheep + wolves)
     both = ("board", "stay")
-
-    def full_id(sheep_left: int, wolves_left: int, side: str) -> str:
-        return "s%dw%d%s" % (sheep_left, wolves_left, side)
-
-    def half_id(sheep_left: int, wolves_left: int, side: str, pending: int) -> str:
-        return "s%dw%d%sp%d" % (sheep_left, wolves_left, side, pending)
-
-    def eligible(profile: dict[str, str], names: list[str], left: int, side: str):
-        onboard_side = names[:left] if side == "L" else names[left:]
-        return sum(1 for name in onboard_side if profile[name] == "board")
+    bit = {agent: 1 << i for i, agent in enumerate(agents)}
+    everyone = (1 << len(agents)) - 1
+    flock = sum(bit[name] for name in sheep)
+    profiles = [
+        (profile, sum(bit[a] for a, act in zip(agents, profile) if act == "board"))
+        for profile in itertools.product(both, repeat=len(agents))
+    ]
 
     def resolve(sheep_left, wolves_left, side, boarding_sheep, boarding_wolves):
         """Config after a boarding attempt, ending a full round."""
-        total = boarding_sheep + boarding_wolves
-        if total < 1 or total > 2:
-            return ("full", sheep_left, wolves_left, side)
-        if _dangerous(boarding_sheep, boarding_wolves):
-            return ("sink", EATEN)
-        if side == "L":
-            new_sheep = sheep_left - boarding_sheep
-            new_wolves = wolves_left - boarding_wolves
-            new_side = "R"
-        else:
-            new_sheep = sheep_left + boarding_sheep
-            new_wolves = wolves_left + boarding_wolves
-            new_side = "L"
-        if _dangerous(new_sheep, new_wolves):
-            return ("sink", EATEN)
-        if _dangerous(n_sheep - new_sheep, n_wolves - new_wolves):
-            return ("sink", EATEN)
-        if new_sheep == 0 and new_wolves == 0:
-            return ("sink", CROSSED)
-        return ("full", new_sheep, new_wolves, new_side)
-
-    def config_id(config) -> str:
-        if config[0] == "sink":
-            return config[1]
-        if config[0] == "full":
-            return full_id(config[1], config[2], config[3])
-        return half_id(config[1], config[2], config[3], config[4])
+        if not 1 <= boarding_sheep + boarding_wolves <= 2:
+            return (sheep_left, wolves_left, side)
+        sign = -1 if side == "L" else 1
+        sheep_left += sign * boarding_sheep
+        wolves_left += sign * boarding_wolves
+        if (_dangerous(boarding_sheep, boarding_wolves)
+                or _dangerous(sheep_left, wolves_left)
+                or _dangerous(n_sheep - sheep_left, n_wolves - wolves_left)):
+            return EATEN
+        if sheep_left == wolves_left == 0:
+            return CROSSED
+        return (sheep_left, wolves_left, "R" if side == "L" else "L")
 
     states: list[str] = []
     actions: dict[str, dict[str, tuple[str, ...]]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+    worklist: list[tuple] = []
 
-    def add_state(state: str, per_agent) -> None:
-        if state in actions:
-            return
-        if len(states) >= limit:
-            raise ResourceLimitError("river crossing exceeds %d states" % limit)
-        states.append(state)
-        actions[state] = {agent: per_agent for agent in agents}
+    def visit(config) -> str:
+        # The state id, added when first seen. A sink is its own id; a full
+        # config is (sheep_left, wolves_left, side), a half one adds pending.
+        sink = isinstance(config, str)
+        state = config if sink else "s%dw%d%s" % config[:3] + "".join(
+            "p%d" % pending for pending in config[3:])
+        if state not in actions:
+            if len(states) >= limit:
+                raise ResourceLimitError("river crossing exceeds %d states" % limit)
+            states.append(state)
+            actions[state] = dict.fromkeys(agents, ("stay",) if sink else both)
+            if sink:
+                outcome[(state, ("stay",) * len(agents))] = state
+            else:
+                worklist.append(config)
+        return state
 
-    for sink in (EATEN, CROSSED):
-        add_state(sink, ("stay",))
-        outcome[(sink, ("stay",) * len(agents))] = sink
-
-    start_config = ("full", n_sheep, n_wolves, "L")
-    if _dangerous(n_sheep, n_wolves):
-        start_config = ("sink", EATEN)
-    worklist = []
-    if start_config[0] != "sink":
-        add_state(config_id(start_config), both)
-        worklist.append(start_config)
-    seen = set(worklist)
+    visit(EATEN)
+    visit(CROSSED)
+    start = visit(EATEN if _dangerous(n_sheep, n_wolves) else (n_sheep, n_wolves, "L"))
     while worklist:
         config = worklist.pop()
-        state = config_id(config)
-        sheep_left, wolves_left, side = config[1], config[2], config[3]
-        for profile in itertools.product(both, repeat=len(agents)):
-            mapping = dict(zip(agents, profile))
+        state = visit(config)
+        sheep_left, wolves_left, side = config[:3]
+        left = sum(bit[name] for name in sheep[:sheep_left] + wolves[:wolves_left])
+        here = left if side == "L" else everyone ^ left
+        sheep_mask, wolves_mask = here & flock, here & ~flock
+        for profile, boarders in profiles:
+            boarding_sheep = (boarders & sheep_mask).bit_count()
+            boarding_wolves = (boarders & wolves_mask).bit_count()
             if mode == "simultaneous":
-                bs = eligible(mapping, sheep, sheep_left, side)
-                bw = eligible(mapping, wolves, wolves_left, side)
-                target = resolve(sheep_left, wolves_left, side, bs, bw)
-            elif config[0] == "full":
-                bw = eligible(mapping, wolves, wolves_left, side)
-                target = ("half", sheep_left, wolves_left, side, bw)
+                target = resolve(*config, boarding_sheep, boarding_wolves)
+            elif len(config) == 3:
+                target = (*config, boarding_wolves)
             else:
-                bs = eligible(mapping, sheep, sheep_left, side)
-                target = resolve(sheep_left, wolves_left, side, bs, config[4])
-            outcome[(state, profile)] = config_id(target)
-            if target[0] != "sink" and target not in seen:
-                seen.add(target)
-                add_state(config_id(target), both)
-                worklist.append(target)
+                target = resolve(*config[:3], boarding_sheep, config[3])
+            outcome[(state, profile)] = visit(target)
 
-    model = ConcurrentGameModel(
-        agents=agents,
-        states=states,
-        actions=actions,
-        outcome=outcome,
-        valuation={"e": [EATEN], "c": [CROSSED]},
-    )
-    return model, config_id(start_config)
+    valuation = {"e": [EATEN], "c": [CROSSED]}
+    return ConcurrentGameModel(agents, states, actions, outcome, valuation), start
 
 
 def _crossing_formula(sheep: list[str], wolves: list[str]) -> str:

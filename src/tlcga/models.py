@@ -496,13 +496,23 @@ def from_json_dict(data: Mapping) -> ConcurrentGameModel:
     return model
 
 
-def load_model(path: str) -> ConcurrentGameModel:
+def read_json(path: str):
+    """The document in JSON file `path`.
+
+    A file that is not JSON (bad syntax, bad UTF-8, or nesting too deep
+    for the decoder) raises InvalidModelError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError("not valid JSON: %s" % exc) from None
-    return from_json_dict(data)
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise InvalidModelError("%s is not valid JSON: %s" % (path, err)) from None
+        except RecursionError:
+            raise InvalidModelError("%s is nested too deeply to read" % path) from None
+
+
+def load_model(path: str) -> ConcurrentGameModel:
+    return from_json_dict(read_json(path))
 
 
 def save_model(model: ConcurrentGameModel, path: str) -> None:

@@ -111,6 +111,14 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "usage error: %s must be at least 1" % flag in err
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_oracle_limit_below_one_is_a_usage_error(self, capsys, limit):
+        code, out, err = run(capsys, "oracle", "--corpus-case", "exampleA",
+                             "--formula-name", "gammaA", "--mode", "play:3",
+                             "--limit", limit)
+        assert (code, out) == (1, "")
+        assert "usage error: --limit must be at least 1" in err
+
     def test_invalid_input_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "--model", "/no/such/file.json",
                            "--formula", "p", "--state", "s")

@@ -153,6 +153,33 @@ class TestRiverCrossing:
         with pytest.raises(ValueError):
             build_river_crossing(0, 0)
 
+    @pytest.mark.parametrize(
+        "n_sheep, n_wolves, mode, start, size, digest",
+        [
+            (1, 1, "simultaneous", "s1w1L", 5, "1d5468266206ae27"),
+            (2, 2, "simultaneous", "s2w2L", 11, "21404d7805c9581b"),
+            (3, 3, "simultaneous", "s3w3L", 16, "553a79f72f54ea15"),
+            (4, 4, "simultaneous", "s4w4L", 13, "dc314f27f08a678f"),
+            (5, 5, "simultaneous", "s5w5L", 15, "e47e1361a8209703"),
+            (6, 6, "simultaneous", "s6w6L", 17, "c5d250b930b23d5f"),
+            (1, 1, "wolves_then_sheep", "s1w1L", 10, "0ad507d578e0ffeb"),
+            (2, 2, "wolves_then_sheep", "s2w2L", 31, "b8ee20e354407583"),
+            (3, 3, "wolves_then_sheep", "s3w3L", 56, "cdc21b65c86ed896"),
+            (4, 4, "wolves_then_sheep", "s4w4L", 50, "28757d245d2e67fe"),
+            (5, 5, "wolves_then_sheep", "s5w5L", 65, "92c84f12ba74a289"),
+            (2, 1, "simultaneous", "s2w1L", 9, "5f793d15efd893f3"),
+            (1, 2, "wolves_then_sheep", "eaten", 2, "f6a66b6135c883d4"),
+            (3, 0, "wolves_then_sheep", "s3w0L", 10, "d6d57442571f1a02"),
+            # Agents sort s1, s10, s2, ...: boarders follow agent
+            # positions, not animal numbers.
+            (10, 0, "simultaneous", "s10w0L", 20, "d8c6e7876ee8697a"),
+        ],
+    )
+    def test_pinned_models(self, n_sheep, n_wolves, mode, start, size, digest):
+        # content_hash lists states in model order, so it pins that too.
+        model, got = build_river_crossing(n_sheep, n_wolves, mode)
+        assert (got, len(model.states), model.content_hash()) == (start, size, digest)
+
     def test_formula_mentions_every_animal(self):
         case = sheep_wolves(2, 1)
         assert case.formulas["crossing"] == (

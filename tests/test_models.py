@@ -281,6 +281,21 @@ class TestSerialization:
         with pytest.raises(InvalidModelError, match="not valid JSON"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff", "is not valid JSON: 'utf-8' codec can't decode"),
+            (b"[" * 100000 + b"]" * 100000, "is nested too deeply to read"),
+        ],
+        ids=["encoding", "depth"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidModelError) as caught:
+            load_model(str(path))
+        assert str(caught.value).startswith("%s %s" % (path, message))
+
 
 class TestDisjointUnion:
     def test_sides_are_prefixed_and_disconnected(self):

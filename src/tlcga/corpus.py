@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from . import models
 from .models import ConcurrentGameModel, ResourceLimitError, save_model
 
 
@@ -240,7 +241,7 @@ def _dangerous(sheep: int, wolves: int) -> bool:
 
 
 def build_river_crossing(
-    n_sheep: int, n_wolves: int, mode: str = "simultaneous", limit: int = 20000
+    n_sheep: int, n_wolves: int, mode: str = "simultaneous"
 ) -> tuple[ConcurrentGameModel, str]:
     """A boat puzzle where every animal is its own agent.
 
@@ -259,11 +260,23 @@ def build_river_crossing(
     ignored. So a state's transitions depend only on how many sheep and
     how many wolves board on the boat's side: bitmasks by agent position
     count them in each profile. Returns the model and its start state.
+
+    A sink has one transition and every other state one per profile,
+    2^(n_sheep + n_wolves). A build of more than `models.MAX_TRANSITIONS`
+    transitions raises `ResourceLimitError` before the state that would
+    pass that budget is added, and at once when one non-sink state alone
+    would pass it, whatever the start.
     """
     if mode not in ("simultaneous", "wolves_then_sheep"):
         raise ValueError("unknown mode %r" % mode)
     if n_sheep < 0 or n_wolves < 0 or n_sheep + n_wolves == 0:
         raise ValueError("need a non-negative number of animals, at least one")
+    budget = models.MAX_TRANSITIONS
+    over_budget = "river crossing would have more than %d transitions" % budget
+    # 2^n > budget exactly when n reaches the budget's bit length; the
+    # comparison never builds the 2^n-sized number.
+    if n_sheep + n_wolves >= budget.bit_length():
+        raise ResourceLimitError(over_budget)
 
     sheep = ["s%d" % (i + 1) for i in range(n_sheep)]
     wolves = ["w%d" % (i + 1) for i in range(n_wolves)]
@@ -272,10 +285,6 @@ def build_river_crossing(
     bit = {agent: 1 << i for i, agent in enumerate(agents)}
     everyone = (1 << len(agents)) - 1
     flock = sum(bit[name] for name in sheep)
-    profiles = [
-        (profile, sum(bit[a] for a, act in zip(agents, profile) if act == "board"))
-        for profile in itertools.product(both, repeat=len(agents))
-    ]
 
     def resolve(sheep_left, wolves_left, side, boarding_sheep, boarding_wolves):
         """Config after a boarding attempt, ending a full round."""
@@ -296,16 +305,19 @@ def build_river_crossing(
     actions: dict[str, dict[str, tuple[str, ...]]] = {}
     outcome: dict[tuple[str, tuple[str, ...]], str] = {}
     worklist: list[tuple] = []
+    transitions = 0
 
     def visit(config) -> str:
         # The state id, added when first seen. A sink is its own id; a full
         # config is (sheep_left, wolves_left, side), a half one adds pending.
+        nonlocal transitions
         sink = isinstance(config, str)
         state = config if sink else "s%dw%d%s" % config[:3] + "".join(
             "p%d" % pending for pending in config[3:])
         if state not in actions:
-            if len(states) >= limit:
-                raise ResourceLimitError("river crossing exceeds %d states" % limit)
+            transitions += 1 if sink else 1 << len(agents)
+            if transitions > budget:
+                raise ResourceLimitError(over_budget)
             states.append(state)
             actions[state] = dict.fromkeys(agents, ("stay",) if sink else both)
             if sink:
@@ -317,6 +329,10 @@ def build_river_crossing(
     visit(EATEN)
     visit(CROSSED)
     start = visit(EATEN if _dangerous(n_sheep, n_wolves) else (n_sheep, n_wolves, "L"))
+    profiles = [
+        (profile, sum(bit[a] for a, act in zip(agents, profile) if act == "board"))
+        for profile in itertools.product(both, repeat=len(agents))
+    ]
     while worklist:
         config = worklist.pop()
         state = visit(config)
@@ -350,9 +366,9 @@ def _crossing_formula(sheep: list[str], wolves: list[str]) -> str:
 
 
 def sheep_wolves(
-    n_sheep: int, n_wolves: int, mode: str = "simultaneous", limit: int = 20000
+    n_sheep: int, n_wolves: int, mode: str = "simultaneous"
 ) -> CorpusCase:
-    model, start = build_river_crossing(n_sheep, n_wolves, mode, limit)
+    model, start = build_river_crossing(n_sheep, n_wolves, mode)
     sheep = ["s%d" % (i + 1) for i in range(n_sheep)]
     wolves = ["w%d" % (i + 1) for i in range(n_wolves)]
     formulas = {"crossing": _crossing_formula(sheep, wolves)}
@@ -381,13 +397,14 @@ def sheep_wolves(
 def build_case(name: str, **params) -> CorpusCase:
     """Build a corpus case by registry name.
 
-    sheep-wolves takes n_sheep and n_wolves, optionally mode and limit;
-    the other names take no parameters. A bad name or value raises
-    ValueError naming the parameter.
+    sheep-wolves takes n_sheep and n_wolves, optionally mode; a build of
+    more than `models.MAX_TRANSITIONS` transitions raises
+    ResourceLimitError. The other names take no parameters. A bad name
+    or value raises ValueError naming the parameter.
     """
     if name == "sheep-wolves":
         for key in (*params, "n_sheep", "n_wolves"):
-            if key not in ("n_sheep", "n_wolves", "mode", "limit"):
+            if key not in ("n_sheep", "n_wolves", "mode"):
                 raise ValueError("sheep-wolves has no parameter %r" % key)
             value = params.get(key)
             if key != "mode" and not (isinstance(value, int) and value >= 0):

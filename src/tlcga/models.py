@@ -25,9 +25,10 @@ class ResourceLimitError(RuntimeError):
     """Raised when a construction or search exceeds its configured budget."""
 
 
-# The most transitions `scos` builds; the split of
+# The most transitions any model the program builds may have: a `scos`
+# split or a river crossing. The split of
 # sheep-wolves(4,4,wolves_then_sheep) has 1,392,833 (about 250 MB).
-SCOS_MAX_TRANSITIONS = 2_000_000
+MAX_TRANSITIONS = 2_000_000
 
 
 def format_profile(agents: tuple[str, ...], profile: tuple[str, ...]) -> str:
@@ -196,7 +197,7 @@ class ConcurrentGameModel:
         profile i (in canonical enumeration order per source) is
         redirected to copy i. Copy 0 is the designated representative.
         Every copy of a state gets all of its transitions; a split of more
-        than `SCOS_MAX_TRANSITIONS` raises `ResourceLimitError` before
+        than `MAX_TRANSITIONS` raises `ResourceLimitError` before
         anything is built.
         """
         incoming_rank: dict[tuple[str, tuple[str, ...]], int] = {}
@@ -214,10 +215,10 @@ class ConcurrentGameModel:
         transitions = sum(
             copy_count[state] * len(self.profiles(state)) for state in self.states
         )
-        if transitions > SCOS_MAX_TRANSITIONS:
+        if transitions > MAX_TRANSITIONS:
             raise ResourceLimitError(
                 "scos split would have %d transitions, more than %d"
-                % (transitions, SCOS_MAX_TRANSITIONS)
+                % (transitions, MAX_TRANSITIONS)
             )
 
         taken = set(self._state_set)

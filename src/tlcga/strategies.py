@@ -23,7 +23,7 @@ from .formulas import (
     Until,
     path_conjuncts,
 )
-from .models import ConcurrentGameModel, Effectivity, _expect
+from .models import ConcurrentGameModel, Effectivity, _expect, _names
 
 
 class PartialStrategyError(ValueError):
@@ -136,7 +136,7 @@ class FiniteStrategyProfile:
             "mode": str(self.mode),
             "tables": {
                 agent: [
-                    {"memory": render_memory(memory), "action": action}
+                    {"memory": list(memory), "action": action}
                     for memory, action in sorted(
                         table.items(), key=lambda kv: memory_sort_key(kv[0])
                     )
@@ -167,14 +167,28 @@ def parse_rendered_memory(text: str) -> tuple:
     return tuple(parts)
 
 
+def _memory_from_json(value, agent: str) -> tuple:
+    """Read a memory as `to_json_dict` writes it.
+
+    That is a list of states (strings) and profiles (lists of action
+    strings). A string is read as `render_memory` writes it, the form
+    of documents written before memories were lists.
+    """
+    if isinstance(value, str):
+        return parse_rendered_memory(value)
+    what = "memory of agent %s" % agent
+    return tuple(
+        item if isinstance(item, str) else tuple(_names(item, "profile in " + what))
+        for item in _expect(value, list, what)
+    )
+
+
 def profile_from_json_dict(data) -> FiniteStrategyProfile:
     try:
         mode = parse_memory_mode(_expect(data["mode"], str, "mode of the profile"))
         tables = {
             agent: {
-                parse_rendered_memory(
-                    _expect(entry["memory"], str, "memory of agent %s" % agent)
-                ): entry["action"]
+                _memory_from_json(entry["memory"], agent): entry["action"]
                 for entry in entries
             }
             for agent, entries in _expect(

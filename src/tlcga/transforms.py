@@ -86,20 +86,17 @@ def nexttime_extension(assignment: GoalAssignment) -> GoalAssignment:
     """Push a goal assignment one step into the future.
 
     The support becomes the set of unions of non-empty subfamilies of
-    the original support. Each such union C is assigned
+    the original support, built by closing it under union. Each such
+    union C is assigned
     X(conjunction of the bodies of X-goals of subcoalitions of C,
     conjoined with the strategic claim for the U/G goals restricted to
     C). Conjuncts reducing to truth are removed and entries reducing to
     the trivial goal are dropped.
     """
-    support = assignment.support()
     unions: set[Coalition] = set()
-    for index in range(1, 1 << len(support)):
-        members: set[str] = set()
-        for bit, coalition in enumerate(support):
-            if index & (1 << bit):
-                members |= coalition
-        unions.add(Coalition(members))
+    for coalition in assignment.support():
+        unions |= {Coalition(coalition | union) for union in unions}
+        unions.add(coalition)
 
     entries: list[tuple[Coalition, PathFormula]] = []
     for union in sorted(unions, key=coalition_key):
@@ -401,22 +398,6 @@ def ecl(phi: StateFormula) -> frozenset[StateFormula]:
     return frozenset(closed)
 
 
-_SCHEMES = (
-    "triv",
-    "safe",
-    "merge",
-    "grand_coalition",
-    "case",
-    "con",
-    "fix",
-    "fp_g",
-    "fp_u",
-    "superadditivity",
-    "agt_maximality",
-    "merge_prime",
-)
-
-
 class SideConditionError(ValueError):
     """A scheme instantiation violated the scheme's side conditions."""
 
@@ -434,7 +415,7 @@ def axiom_instance(scheme: str, **params) -> StateFormula:
     """
     if scheme not in _SCHEMES:
         raise ValueError("unknown scheme %r" % scheme)
-    return globals()["_scheme_" + scheme](**params)
+    return _SCHEMES[scheme](**params)
 
 
 def _scheme_triv() -> StateFormula:
@@ -574,6 +555,22 @@ def _scheme_merge_prime(
         [strategic(assignments[a]) for a in sorted(agents)]
     )
     return Implies(antecedent, strategic(GoalAssignment(entries)))
+
+
+_SCHEMES = {
+    "triv": _scheme_triv,
+    "safe": _scheme_safe,
+    "merge": _scheme_merge,
+    "grand_coalition": _scheme_grand_coalition,
+    "case": _scheme_case,
+    "con": _scheme_con,
+    "fix": _scheme_fix,
+    "fp_g": _scheme_fp_g,
+    "fp_u": _scheme_fp_u,
+    "superadditivity": _scheme_superadditivity,
+    "agt_maximality": _scheme_agt_maximality,
+    "merge_prime": _scheme_merge_prime,
+}
 
 
 def _nonempty_subsets(agents: Coalition) -> list[Coalition]:

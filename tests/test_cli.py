@@ -17,6 +17,7 @@ from tlcga.cli import build_parser, main
 from tlcga.corpus import build_case, default_cases, write_case
 from tlcga.bisim import greatest_bisimulation
 from tlcga.models import (
+    ConcurrentGameModel,
     InvalidModelError,
     disjoint_union,
     from_json_dict,
@@ -339,6 +340,34 @@ class TestModelCommands:
         assert code == 0
         assert "verified: true" in out
 
+    def test_witness_round_trips_names_with_spaces_and_brackets(
+        self, capsys, tmp_path
+    ):
+        # A state `x y` and actions `[go,1]`/`stay put` break the rendered
+        # memory text, so saved memories are JSON lists.
+        go, stay = "[go,1]", "stay put"
+        model = ConcurrentGameModel(
+            ["a"], ["x y", "z"],
+            {"x y": {"a": [go, stay]}, "z": {"a": [stay]}},
+            {("x y", (go,)): "z", ("x y", (stay,)): "x y", ("z", (stay,)): "z"},
+            {"p": ["z"]},
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        witness = tmp_path / "w.json"
+        query = ["--model", str(model_path), "--state", "x y",
+                 "--formula", "<< {a} -> (true U p) >>"]
+        code, out, _ = run(capsys, "oracle", *query, "--mode", "play:2",
+                           "--save-witness", str(witness))
+        assert code == 0
+        assert "outcome: witness" in out
+        memories = [entry["memory"]
+                    for entry in json.loads(witness.read_text())["tables"]["a"]]
+        assert ["x y", [go], "z"] in memories
+        code, out, _ = run(capsys, "validate", *query, "--witness", str(witness))
+        assert code == 0
+        assert "verified: true" in out
+
     def test_scos_reports_copies(self, capsys):
         _, out, _ = run(capsys, "scos", "--corpus-case", "exampleB")
         assert "injective before: false" in out
@@ -653,11 +682,14 @@ class TestProfileInput:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("memory", 5, "memory of agent a must be a JSON string"),
+            ("memory", 5, "memory of agent a must be a JSON list"),
+            ("memory", ["s", [5]],
+             "each entry of profile in memory of agent a must be a JSON string"),
             ("tables", [], "tables of the profile must be a JSON object"),
             ("mode", 5, "mode of the profile must be a JSON string"),
         ],
-        ids=["memory-as-integer", "tables-as-list", "mode-as-integer"],
+        ids=["memory-as-integer", "memory-action-as-integer", "tables-as-list",
+             "mode-as-integer"],
     )
     def test_malformed_profile_is_invalid_input(
         self, capsys, tmp_path, coordination_dir, command, field, value,
@@ -775,6 +807,7 @@ class TestCorpus:
         "params, message",
         [
             ("bogus=3", "sheep-wolves has no parameter 'bogus'"),
+            ("n_sheep=1,n_wolves=1,limit=5", "sheep-wolves has no parameter 'limit'"),
             (
                 "n_sheep=-1,n_wolves=1",
                 "parameter n_sheep must be a non-negative integer, got '-1'",
@@ -799,6 +832,18 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert "invalid input: %s" % message in err
+
+    @pytest.mark.parametrize(
+        "params",
+        ["n_sheep=30,n_wolves=0", "n_sheep=1000000000,n_wolves=0",
+         "n_sheep=1,n_wolves=25"],
+    )
+    def test_over_budget_crossing_exits_three(self, capsys, params):
+        code, out, err = run(capsys, "check", "--corpus-case", "sheep-wolves",
+                             "--params", params, "--formula-name", "crossing")
+        assert (code, out) == (3, "")
+        assert err == ("resource limit: river crossing would have more than"
+                       " 2000000 transitions\n")
 
     def test_unknown_case_is_invalid_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "corpus", "--build", "nonsense",

@@ -12,6 +12,7 @@ from tlcga.corpus import (
     sheep_wolves,
     write_case,
 )
+from tlcga import models
 from tlcga.models import ResourceLimitError, load_model
 from tlcga.parser import parse_state_formula
 
@@ -141,9 +142,34 @@ class TestRiverCrossing:
             model, _ = build_river_crossing(n, m, mode)
             assert model.validate() == []
 
-    def test_state_budget(self):
-        with pytest.raises(ResourceLimitError):
-            build_river_crossing(3, 3, limit=5)
+    def test_budget_stops_a_build_partway(self, monkeypatch):
+        # (3,3,simultaneous) has 16 states: 2 sinks and 14 of 64
+        # transitions each, 898 in all; one fewer stops the last state.
+        monkeypatch.setattr(models, "MAX_TRANSITIONS", 897)
+        with pytest.raises(ResourceLimitError, match="more than 897 transitions"):
+            build_river_crossing(3, 3)
+        monkeypatch.setattr(models, "MAX_TRANSITIONS", 898)
+        assert len(build_river_crossing(3, 3)[0].outcome) == 898
+
+    @pytest.mark.parametrize(
+        "mode, size, transitions",
+        [("simultaneous", 17, 61442), ("wolves_then_sheep", 82, 327682)],
+    )
+    def test_six_and_six_fit_the_budget(self, mode, size, transitions):
+        model, _ = build_river_crossing(6, 6, mode)
+        assert len(model.states) == size
+        assert len(model.outcome) == transitions
+
+    @pytest.mark.parametrize(
+        "n_sheep, n_wolves", [(21, 0), (1, 25), (30, 0), (10**9, 0)]
+    )
+    def test_one_state_over_the_budget_raises_at_once(self, n_sheep, n_wolves):
+        # (1, 25) starts eaten, and (10**9, 0) would need a 2^(10^9) count.
+        with pytest.raises(
+            ResourceLimitError,
+            match="river crossing would have more than 2000000 transitions",
+        ):
+            build_river_crossing(n_sheep, n_wolves)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -49,13 +49,8 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _exempt(name: str) -> bool:
-    # Dunders are called by Python; `_scheme_*` by transforms' globals() dispatch.
-    return _is_dunder(name) or name.startswith("_scheme_")
-
-
 def unreached() -> set[str]:
-    """The non-exempt definitions of the package that no root reaches."""
+    """The non-dunder definitions of the package that no root reaches."""
     bodies: dict[str, set[str]] = defaultdict(set)
     roots = {"main"} | set(re.findall(r"\w+", (ROOT / "README.md").read_text("utf-8")))
     for path in (ROOT / "perfbench").rglob("*.py"):
@@ -77,7 +72,7 @@ def unreached() -> set[str]:
             bodies[node.name] |= _names(*node.bases, *node.keywords,
                                         *node.decorator_list, *rest)
             bodies[node.name] |= {m.name for m in members if _is_dunder(m.name)}
-    pending = roots | {name for name in bodies if name.startswith("_scheme_")}
+    pending = roots
     for name in KEPT:
         # `get`, not indexing: a KEPT name that is no longer defined must
         # not become a definition, so the final comparison catches it.
@@ -88,7 +83,7 @@ def unreached() -> set[str]:
         if name not in reached:
             reached.add(name)
             pending |= bodies.get(name, set())
-    return {name for name in bodies if not _exempt(name)} - reached
+    return {name for name in bodies if not _is_dunder(name)} - reached
 
 
 def test_unreferenced_definitions_are_exactly_the_kept_ones():

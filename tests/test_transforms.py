@@ -1,5 +1,9 @@
 """Goal-assignment transformations: extensions, unfolding, translation."""
 
+import itertools
+import random
+import time
+
 import pytest
 
 from tlcga.formulas import (
@@ -18,14 +22,20 @@ from tlcga.formulas import (
     Truth,
     Until,
     Var,
+    coalition_key,
+    path_conjuncts,
     strategic,
 )
 from tlcga.parser import parse_path_formula, parse_state_formula
+from tlcga.sampling import random_assignment
 from tlcga.transforms import (
     SideConditionError,
+    _dedupe,
     axiom_instance,
+    conjoin,
     ecl,
     induction_formula,
+    long_term_part,
     monotone_closure,
     negate,
     nexttime_extension,
@@ -46,7 +56,62 @@ def goal(text: str):
     return parse_path_formula(text)
 
 
+def reference_nexttime_extension(assignment: GoalAssignment) -> GoalAssignment:
+    """The nexttime-extension with its unions from every bitmask subfamily."""
+    support = assignment.support()
+    unions: set[Coalition] = set()
+    for index in range(1, 1 << len(support)):
+        members: set[str] = set()
+        for bit, coalition in enumerate(support):
+            if index & (1 << bit):
+                members |= coalition
+        unions.add(Coalition(members))
+
+    entries = []
+    for union in sorted(unions, key=coalition_key):
+        next_bodies = []
+        for coalition, goal in assignment:
+            if coalition <= union:
+                for part in path_conjuncts(goal):
+                    if isinstance(part, Next):
+                        next_bodies.append(part.body)
+        body = conjoin(
+            _dedupe(next_bodies)
+            + [strategic(long_term_part(assignment.restrict(union)))]
+        )
+        entries.append((union, Next(body)))
+    return GoalAssignment(entries)
+
+
 class TestNexttimeExtension:
+    def test_agrees_with_the_bitmask_reference(self):
+        for seed in range(300):
+            assignment = random_assignment(
+                random.Random(seed), ["a", "b", "c", "d"], ["p", "q"],
+                max_coalitions=6, allow_conjunction=True,
+                allow_empty_coalition=True,
+            )
+            extended = nexttime_extension(assignment)
+            expected = reference_nexttime_extension(assignment)
+            assert extended.entries == expected.entries, seed
+            assert str(extended) == str(expected), seed
+
+    def test_twenty_entries_over_six_agents(self):
+        # The six singletons close to all 63 non-empty coalitions; the
+        # 2^20 subfamilies of the support are never walked.
+        agents = "abcdef"
+        coalitions = [Coalition(a) for a in agents]
+        coalitions += [Coalition(pair) for pair in itertools.combinations(agents, 2)]
+        assignment = GoalAssignment(
+            (coalition, goal("X p" if index % 2 else "G q"))
+            for index, coalition in enumerate(coalitions[:20])
+        )
+        started = time.process_time()
+        extended = nexttime_extension(assignment)
+        assert time.process_time() - started < 0.1
+        assert len(assignment) == 20
+        assert len(extended) == 63
+
     def test_three_entry_worked_example(self):
         extended = nexttime_extension(
             ga("<< {a,b} -> (p U q); {c} -> G r; {b,c} -> X s >>")

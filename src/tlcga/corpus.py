@@ -264,8 +264,9 @@ def build_river_crossing(
     A sink has one transition and every other state one per profile,
     2^(n_sheep + n_wolves). A build of more than `models.MAX_TRANSITIONS`
     transitions raises `ResourceLimitError` before the state that would
-    pass that budget is added, and at once when one non-sink state alone
-    would pass it, whatever the start.
+    pass that budget is added, and at once when two non-sink states
+    would pass it, whatever the start: from an uneaten start of n >= 2
+    animals a lone wolf (else a lone sheep) crosses into a second one.
     """
     if mode not in ("simultaneous", "wolves_then_sheep"):
         raise ValueError("unknown mode %r" % mode)
@@ -273,9 +274,8 @@ def build_river_crossing(
         raise ValueError("need a non-negative number of animals, at least one")
     budget = models.MAX_TRANSITIONS
     over_budget = "river crossing would have more than %d transitions" % budget
-    # 2^n > budget exactly when n reaches the budget's bit length; the
-    # comparison never builds the 2^n-sized number.
-    if n_sheep + n_wolves >= budget.bit_length():
+    # 2^(n+1) > budget exactly when n + 1 reaches its bit length: no 2^n built.
+    if n_sheep + n_wolves + 1 >= budget.bit_length():
         raise ResourceLimitError(over_budget)
 
     sheep = ["s%d" % (i + 1) for i in range(n_sheep)]

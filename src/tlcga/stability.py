@@ -10,8 +10,9 @@ or model checking.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .checking import Evaluator, extension_of
@@ -29,8 +30,8 @@ from .formulas import (
     path_conjuncts,
     strategic,
 )
-from .models import ConcurrentGameModel
-from .strategies import FiniteStrategyProfile, play_goals
+from .models import ConcurrentGameModel, Effectivity
+from .strategies import FiniteStrategyProfile, _completed, find_witness, play_goals
 from .transforms import conjoin, negate
 
 
@@ -272,11 +273,12 @@ def has_unilateral_improvement(
 ) -> Optional[str]:
     """Search for a loser who can deviate alone and win.
 
-    Deviations stay within the profile's own memory mode. Nexttime
-    goals need only the deviator's first action; for anything else the
-    search enumerates complete positional tables, so long-term goals
-    require a positional profile. Returns the first improving agent in
-    canonical order, or None when the profile is an equilibrium.
+    Nexttime goals need only the deviator's first action, in any memory
+    mode. For other goals the witness oracle, with no step budget, picks
+    the deviator's positional choices on the original model while the
+    other agents follow the profile, so these need a positional profile.
+    Returns the first improving agent in canonical order, or None when
+    the profile is an equilibrium.
     """
     goals = individual_goals(assignment)
     partition = partition_outcomes(model, state, profile, assignment)
@@ -291,7 +293,17 @@ def has_unilateral_improvement(
                 "long-term deviations are only enumerated for positional"
                 " profiles, not %s" % profile.mode
             )
-        if _positional_swap_improves(model, state, profile, agent, goal):
+        # Read the others' entries a deviation can reach before searching,
+        # so a faulty one raises whatever order the search would take.
+        others = [other for other in model.agents if other != agent]
+        fixed = {}
+        if others:
+            index = Effectivity(model)
+            reach = _completed(index, state, profile.mode, profile.action, others).order
+            fixed = {(o, m): profile.action(o, m) for m in reach for o in others}
+        own = GoalAssignment([(Coalition(model.agents), goal)])
+        search = find_witness(model, state, own, profile.mode, sys.maxsize, fixed)
+        if search.witness is not None:
             return agent
     return None
 
@@ -313,18 +325,3 @@ def _first_step_improves(model, state, profile, agent, goal) -> bool:
             return True
     return False
 
-
-def _positional_swap_improves(model, state, profile, agent, goal) -> bool:
-    # The goal and the model are fixed, so one evaluator serves every table.
-    evaluator = Evaluator(model)
-    own = GoalAssignment([(Coalition((agent,)), goal)])
-    choice_sets = [model.actions_of(s, agent) for s in model.states]
-    for choices in product(*choice_sets):
-        tables = dict(profile.tables)
-        tables[agent] = {
-            (s,): action for s, action in zip(model.states, choices)
-        }
-        candidate = FiniteStrategyProfile(mode=profile.mode, tables=tables)
-        if all(play_goals(evaluator, state, candidate, own)):
-            return True
-    return False

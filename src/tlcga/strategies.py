@@ -462,16 +462,18 @@ def find_witness(
     assignment: GoalAssignment,
     mode: MemoryMode,
     limit: int = 100000,
+    fixed: Optional[Mapping[tuple[str, tuple], str]] = None,
 ) -> WitnessSearchResult:
     """Search the memory class for a verifying strategy profile.
 
-    Decisions are made lazily at the first reachable memory that lacks
-    one, in a fixed canonical order, and actions are tried in their
-    declared order, so the found witness is deterministic. Each
-    coalition's closure grows with the decisions of the current branch
-    and is undone on backtrack. A branch is cut as soon as a closure
-    breaks its goal for every completion (see `_goal_failures`); such a branch
-    holds no witness, so the cuts do not change which witness is found.
+    Decisions start from the `(agent, memory) -> action` entries of
+    `fixed` and are made lazily at the first reachable memory that lacks
+    one, in a fixed canonical order; actions are tried in their declared
+    order, so the found witness is deterministic. Each coalition's
+    closure grows with the decisions of the current branch and is undone
+    on backtrack. A branch is cut as soon as a closure breaks its goal
+    for every completion (see `_goal_failures`); such a branch holds no
+    witness, so the cuts do not change which witness is found.
     `explored` counts the search nodes entered, cut ones included. When
     the search space is exhausted without success the absence is exact
     for the whole class; when the step budget runs out first it is only
@@ -487,7 +489,7 @@ def find_witness(
         _Closure(index, state, mode, coalition) for coalition in assignment.support()
     ]
     agents_involved = sorted({a for c in closures for a in c.members})
-    decisions: dict[tuple[str, tuple], str] = {}
+    decisions: dict[tuple[str, tuple], str] = dict(fixed or {})
     steps = 0
     exhausted = True
 

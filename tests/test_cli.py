@@ -25,6 +25,9 @@ from tlcga.models import (
     save_model,
 )
 from tlcga.parser import parse_state_formula
+from tlcga.strategies import POSITIONAL, FiniteStrategyProfile
+
+from test_stability import lasso_unilateral_improvement
 
 
 def run(capsys, *argv):
@@ -619,6 +622,35 @@ class TestStability:
             "--profile", str(coordination_dir / "prof_ht.json"))
         assert "stable: false" in out
         assert "improving agent: a" in out
+
+    @pytest.mark.parametrize("wolf_goal", ["G !c", "G e"])
+    def test_nash_with_an_invariant_goal_agrees_with_the_lasso_reference(
+            self, capsys, tmp_path, wolf_goal):
+        # Everyone boards everywhere, so both animals cross at once and
+        # the wolf's invariant goal loses; staying ashore keeps c false,
+        # while e is out of reach with one wolf against one sheep.
+        case = build_case("sheep-wolves", n_sheep=1, n_wolves=1)
+        model = case.model
+        profile = FiniteStrategyProfile(POSITIONAL, {
+            agent: {(state,): model.actions_of(state, agent)[0]
+                    for state in model.states}
+            for agent in model.agents
+        })
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile.to_json_dict()))
+        goals = "<< {s1} -> (true U c); {w1} -> %s >>" % wolf_goal
+        expected = lasso_unilateral_improvement(
+            model, case.start, profile,
+            parse_state_formula(goals).assignment)
+        code, out, _ = run(
+            capsys, "stability", "--notion", "nash",
+            "--corpus-case", "sheep-wolves",
+            "--params", "n_sheep=1,n_wolves=1",
+            "--goals", goals, "--profile", str(path))
+        assert code == 0
+        assert "losing coalitions: {w1}" in out
+        assert "improving agent: %s" % (expected or "(none)") in out.splitlines()
+        assert expected == ("w1" if wolf_goal == "G !c" else None)
 
     def test_core_membership(self, capsys, coordination_dir):
         # A lone loser cannot force a match, so the mismatched profile

@@ -1,8 +1,12 @@
 """Built-in example models: structure, registry, and file output."""
 
+import time
+
 import pytest
 
 from tlcga.corpus import (
+    CROSSED,
+    EATEN,
     build_case,
     build_password_model,
     build_river_crossing,
@@ -170,6 +174,29 @@ class TestRiverCrossing:
             match="river crossing would have more than 2000000 transitions",
         ):
             build_river_crossing(n_sheep, n_wolves)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "wolves_then_sheep"])
+    @pytest.mark.parametrize("animals", range(2, 7))
+    def test_every_safe_start_reaches_two_non_sink_states(self, animals, mode):
+        # The claim behind refusing a build when two non-sink states
+        # would pass the budget.
+        for n_sheep in range(animals + 1):
+            model, start = build_river_crossing(n_sheep, animals - n_sheep, mode)
+            if start == EATEN:
+                continue
+            non_sinks = [s for s in model.states if s not in (EATEN, CROSSED)]
+            assert start in non_sinks and len(non_sinks) >= 2, (n_sheep, mode)
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "wolves_then_sheep"])
+    @pytest.mark.parametrize("n_sheep, n_wolves", [(20, 0), (10, 10), (0, 20)])
+    def test_two_states_over_the_budget_raise_at_once(self, n_sheep, n_wolves, mode):
+        began = time.process_time()
+        with pytest.raises(
+            ResourceLimitError,
+            match="river crossing would have more than 2000000 transitions",
+        ):
+            build_river_crossing(n_sheep, n_wolves, mode)
+        assert time.process_time() - began < 0.5
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

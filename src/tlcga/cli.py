@@ -607,7 +607,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 1
-    except ResourceLimitError as err:
+    except (ResourceLimitError, RecursionError) as err:
         print("resource limit: %s" % err, file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as err:

@@ -214,14 +214,6 @@ class Redistribution:
             for coalition, index in self.pairs
         )
 
-    def __str__(self) -> str:
-        if not self.pairs:
-            return "(empty)"
-        return "; ".join(
-            "%s backs positive %d" % (coalition, index)
-            for coalition, index in self.pairs
-        )
-
 
 def redistributions(sequent: OneStepSequent) -> list[Redistribution]:
     """Every redistribution, enumerated canonically and duplicate-free.
@@ -496,10 +488,6 @@ class GameFormAction:
     claim: Optional[int]
     planner: int
     bet: int
-
-    def __str__(self) -> str:
-        first = "*" if self.claim is None else "g%d" % self.claim
-        return "(%s,f%d,k%d)" % (first, self.planner, self.bet)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .checking import Evaluator, extension_of
+from .checking import Evaluator
 from .formulas import (
     Coalition,
     GoalAssignment,
@@ -273,22 +273,19 @@ def has_unilateral_improvement(
 ) -> Optional[str]:
     """Search for a loser who can deviate alone and win.
 
-    Nexttime goals need only the deviator's first action, in any memory
-    mode. For other goals the witness oracle, with no step budget, picks
-    the deviator's positional choices on the original model while the
-    other agents follow the profile, so these need a positional profile.
-    Returns the first improving agent in canonical order, or None when
-    the profile is an equilibrium.
+    The witness oracle, with no step budget, picks the deviator's choices
+    on the original model while the other agents follow the profile.
+    Nexttime goals are searched in any memory mode; other goals need a
+    positional profile. Returns the first improving agent in canonical
+    order, or None when the profile is an equilibrium.
     """
     goals = individual_goals(assignment)
     partition = partition_outcomes(model, state, profile, assignment)
     for agent in sorted(partition.losers):
         goal = goals[agent]
-        if all(isinstance(part, Next) for part in path_conjuncts(goal)):
-            if _first_step_improves(model, state, profile, agent, goal):
-                return agent
-            continue
-        if profile.mode.kind != "positional":
+        if profile.mode.kind != "positional" and not all(
+            isinstance(part, Next) for part in path_conjuncts(goal)
+        ):
             raise ValueError(
                 "long-term deviations are only enumerated for positional"
                 " profiles, not %s" % profile.mode
@@ -306,22 +303,3 @@ def has_unilateral_improvement(
         if search.witness is not None:
             return agent
     return None
-
-
-def _first_step_improves(model, state, profile, agent, goal) -> bool:
-    memory = (state,)
-    joint = {
-        other: profile.action(other, memory)
-        for other in model.agents
-        if other != agent
-    }
-    bodies = [part.body for part in path_conjuncts(goal)]
-    target = extension_of(model, conjoin(bodies))
-    for action in model.actions_of(state, agent):
-        full = tuple(
-            action if name == agent else joint[name] for name in model.agents
-        )
-        if model.out(state, full) in target:
-            return True
-    return False
-

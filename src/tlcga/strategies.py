@@ -343,7 +343,9 @@ def _goal_failures(
                 changed = True
                 while changed:
                     changed = False
-                    for memory in closure.order:
+                    # Newest first: a memory's targets are mostly
+                    # reached after it, so a chain settles in one sweep.
+                    for memory in reversed(closure.order):
                         if memory in satisfied:
                             continue
                         state = memory_state(memory)
@@ -471,9 +473,11 @@ def find_witness(
     one, in a fixed canonical order; actions are tried in their declared
     order, so the found witness is deterministic. Each coalition's
     closure grows with the decisions of the current branch and is undone
-    on backtrack. A branch is cut as soon as a closure breaks its goal
-    for every completion (see `_goal_failures`); such a branch holds no
-    witness, so the cuts do not change which witness is found.
+    on backtrack; the branch is kept on an explicit stack, so a search's
+    depth is bounded only by `limit`. A branch is cut as soon as a
+    closure breaks its goal for every completion (see `_goal_failures`);
+    such a branch holds no witness, so the cuts do not change which
+    witness is found.
     `explored` counts the search nodes entered, cut ones included. When
     the search space is exhausted without success the absence is exact
     for the whole class; when the step budget runs out first it is only
@@ -490,8 +494,6 @@ def find_witness(
     ]
     agents_involved = sorted({a for c in closures for a in c.members})
     decisions: dict[tuple[str, tuple], str] = dict(fixed or {})
-    steps = 0
-    exhausted = True
 
     def lookup(agent: str, memory: tuple) -> Optional[str]:
         action = decisions.get((agent, memory))
@@ -509,43 +511,53 @@ def find_witness(
                     tables[agent].setdefault(memory, lookup(agent, memory))
         return FiniteStrategyProfile(mode, tables)
 
-    def search() -> Optional[FiniteStrategyProfile]:
-        nonlocal steps, exhausted
+    def undo(marks: list[tuple[int, int]]) -> None:
+        for closure, mark in zip(closures, marks):
+            closure.undo(mark)
+
+    # One frame per decision on the current branch: the entry decided,
+    # the closures' marks from before the node that made the decision,
+    # and the actions not yet tried there.
+    stack: list[tuple[tuple[str, tuple], list[tuple[int, int]], Iterator[str]]] = []
+    steps = 0
+    while True:
         if steps >= limit:
-            exhausted = False
-            return None
+            return WitnessSearchResult(None, False, steps)
         steps += 1
         marks = [closure.mark() for closure in closures]
-        try:
-            missing = None
-            for closure, goal, mark in zip(closures, goals, marks):
-                entry = closure.grow(lookup)
-                if next(_goal_failures(goal, closure, extensions, mark), None):
-                    return None
-                if missing is None:
-                    missing = entry
+        missing = None
+        for closure, goal, mark in zip(closures, goals, marks):
+            entry = closure.grow(lookup)
+            if next(_goal_failures(goal, closure, extensions, mark), None):
+                undo(marks)
+                break
             if missing is None:
+                missing = entry
+        else:
+            if missing is not None:
+                agent, memory = missing
+                actions = model.actions_of(memory_state(memory), agent)
+                stack.append((missing, marks, iter(actions)))
+            else:
                 candidate = assemble()
                 ok, _ = _verify(
                     index, state, mode, candidate.action, assignment, extensions
                 )
-                return candidate if ok else None
-            agent, memory = missing
-            for action in model.actions_of(memory_state(memory), agent):
+                if ok:
+                    return WitnessSearchResult(candidate, True, steps)
+                undo(marks)
+        # Resume the deepest decision that has an action left to try.
+        while stack:
+            missing, marks, untried = stack[-1]
+            action = next(untried, None)
+            if action is not None:
                 decisions[missing] = action
-                found = search()
-                if found is not None:
-                    return found
-                del decisions[missing]
-                if not exhausted:
-                    return None
-            return None
-        finally:
-            for closure, mark in zip(closures, marks):
-                closure.undo(mark)
-
-    witness = search()
-    return WitnessSearchResult(witness, exhausted if witness is None else True, steps)
+                break
+            decisions.pop(missing, None)
+            stack.pop()
+            undo(marks)
+        else:
+            return WitnessSearchResult(None, True, steps)
 
 
 def atl_check(

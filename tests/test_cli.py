@@ -8,6 +8,8 @@ import io
 import json
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -28,6 +30,11 @@ from tlcga.parser import parse_state_formula
 from tlcga.strategies import POSITIONAL, FiniteStrategyProfile
 
 from test_stability import lasso_unilateral_improvement
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 def run(capsys, *argv):
@@ -86,6 +93,32 @@ def coordination_dir(tmp_path_factory):
         },
     }))
     return path
+
+
+def save_chain(path, length, ends=False):
+    """A one-agent chain c0 .. c<length-1> where x and y both step
+    forward and p holds everywhere. The last state loops, or with `ends`
+    its x leads to a sink g and its y to a sink bad labelled b."""
+    chain = ["c%d" % i for i in range(length)]
+    states = chain + (["g", "bad"] if ends else [])
+    outcome = {}
+    for here, there in zip(chain, chain[1:]):
+        outcome[(here, ("x",))] = outcome[(here, ("y",))] = there
+    last = chain[-1]
+    outcome[(last, ("x",))] = "g" if ends else last
+    outcome[(last, ("y",))] = "bad" if ends else last
+    for sink in states[length:]:
+        outcome[(sink, ("x",))] = outcome[(sink, ("y",))] = sink
+    model = ConcurrentGameModel(
+        ("a",), states, {state: {"a": ("x", "y")} for state in states},
+        outcome, {"p": states, "b": ["bad"] if ends else []},
+    )
+    save_model(model, path)
+    return str(path)
+
+
+# Deeper than Python's default recursion limit of 1,000.
+CHAIN = 1200
 
 
 class TestExitCodes:
@@ -276,6 +309,26 @@ class TestExitCodes:
         assert code == 3
         assert "none (bounded)" in out
 
+    def test_recursion_limit_is_a_resource_limit(self):
+        # Nothing in the program bounds the depth of the formulas that
+        # bisimulation builds, so the handler is tried on a parsed one
+        # under a lowered recursion limit.
+        script = (
+            "import sys\n"
+            "from tlcga import cli\n"
+            "sys.setrecursionlimit(100)\n"
+            "sys.exit(cli.main(['check', '--corpus-case', 'exampleA',"
+            " '--formula', '!' * 60 + 'p']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("resource limit:")
+        assert "Traceback" not in done.stderr
+
 
 class TestReports:
     def test_text_report_fields(self, capsys):
@@ -330,6 +383,16 @@ class TestModelCommands:
         _, out, _ = run(capsys, "oracle", "--corpus-case", "exampleA",
                         "--formula-name", "gammaA", "--mode", "play:3")
         assert "outcome: witness" in out
+
+    def test_oracle_search_deeper_than_the_recursion_limit(
+            self, capsys, tmp_path):
+        code, out, _ = run(capsys, "oracle",
+                           "--model", save_chain(tmp_path / "m.json", CHAIN),
+                           "--state", "c0", "--formula", "<< {a} -> G p >>",
+                           "--mode", "positional")
+        assert code == 0
+        assert "outcome: witness" in out
+        assert "explored: %d" % (CHAIN + 1) in out.splitlines()
 
     def test_validate_confirms_an_oracle_witness(self, capsys, tmp_path):
         path = tmp_path / "witness.json"
@@ -651,6 +714,22 @@ class TestStability:
         assert "losing coalitions: {w1}" in out
         assert "improving agent: %s" % (expected or "(none)") in out.splitlines()
         assert expected == ("w1" if wolf_goal == "G !c" else None)
+
+    def test_nash_deviation_deeper_than_the_recursion_limit(
+            self, capsys, tmp_path):
+        model = save_chain(tmp_path / "m.json", CHAIN, ends=True)
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({
+            "mode": "positional",
+            "tables": {"a": [{"memory": [state], "action": "y"}
+                             for state in load_model(model).states]},
+        }))
+        code, out, _ = run(
+            capsys, "stability", "--notion", "nash", "--model", model,
+            "--state", "c0", "--goals", "<< {a} -> G !b >>",
+            "--profile", str(profile))
+        assert code == 0
+        assert "improving agent: a" in out.splitlines()
 
     def test_core_membership(self, capsys, coordination_dir):
         # A lone loser cannot force a match, so the mismatched profile

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from tlcga.checking import Evaluator, check
+from tlcga.checking import Evaluator, check, extension_of
 from tlcga.corpus import build_river_crossing
 from tlcga.formulas import (
     And,
@@ -30,7 +30,6 @@ from tlcga.sampling import make_rng, random_goal, random_model, random_oracle_qu
 from tlcga.stability import (
     GoalNegationError,
     OutcomePartition,
-    _first_step_improves,
     coalitional_ga,
     coequilibrium_ga,
     core_membership_formula,
@@ -56,7 +55,7 @@ from tlcga.strategies import (
     update_memory,
     verify_witness,
 )
-from tlcga.transforms import to_mu
+from tlcga.transforms import conjoin, to_mu
 
 
 # The walk along the single play of a full profile that the stability
@@ -136,6 +135,27 @@ def eval_on_lasso(evaluator: Evaluator, lasso: Lasso, goal: PathFormula) -> bool
     return True
 
 
+def first_step_improves(model, state, profile, agent, goal) -> bool:
+    """Whether one of the agent's first actions, with the others'
+    first actions taken from the profile, reaches the goal's
+    nexttime bodies."""
+    memory = (state,)
+    joint = {
+        other: profile.action(other, memory)
+        for other in model.agents
+        if other != agent
+    }
+    bodies = [part.body for part in path_conjuncts(goal)]
+    target = extension_of(model, conjoin(bodies))
+    for action in model.actions_of(state, agent):
+        full = tuple(
+            action if name == agent else joint[name] for name in model.agents
+        )
+        if model.out(state, full) in target:
+            return True
+    return False
+
+
 def lasso_unilateral_improvement(model, state, profile, assignment):
     """`has_unilateral_improvement` with every play judged on its lasso."""
     goals = individual_goals(assignment)
@@ -145,7 +165,7 @@ def lasso_unilateral_improvement(model, state, profile, assignment):
     for agent in sorted(next(iter(c)) for c in losers if len(c) == 1):
         goal = goals[agent]
         if all(isinstance(part, Next) for part in path_conjuncts(goal)):
-            if _first_step_improves(model, state, profile, agent, goal):
+            if first_step_improves(model, state, profile, agent, goal):
                 return agent
             continue
         if profile.mode.kind != "positional":

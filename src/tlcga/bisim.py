@@ -19,15 +19,17 @@ over the 2^|Agt| coalitions, plus the ⊆-minimal filter over each
 state's distinct vectors.
 
 The blocks and their outcome sets come from a `models.Effectivity`
-index. Each public call builds its own, reads it at every level, and
-drops it when it returns; `hm_agreement` and `distinguishing_formula`
-share theirs with the evaluator they check formulas with.
+index that each public call builds and drops; `hm_agreement` and
+`distinguishing_formula` share it with their evaluator. Levels are
+refined on demand: a pair is answered at the first level that splits it
+and verifies (atoms alone need no block), while a bisimilar pair, like
+the whole relation, needs every level.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .checking import Evaluator
 from .formulas import (
@@ -105,24 +107,25 @@ def _split(
     return refined
 
 
-def _partition_levels(index: Effectivity) -> list[dict[str, int]]:
+def _levels(index: Effectivity) -> Iterator[dict[str, int]]:
     """Class ids per state, from atom equivalence to the fixpoint.
 
     Class ids are numbered in state order, so the first state of each
-    class is its least member by position.
+    class is its least member by position. Level 0 is yielded before any
+    action block is read; the blocks are built when level 1 is asked for.
     """
     model = index.model
-    rows = {state: _block_rows(index, state) for state in model.states}
     atoms: dict[frozenset[str], int] = {}
-    levels = [
-        {state: atoms.setdefault(model.props_at(state), len(atoms))
-         for state in model.states}
-    ]
+    partition = {state: atoms.setdefault(model.props_at(state), len(atoms))
+                 for state in model.states}
+    yield partition
+    rows = {state: _block_rows(index, state) for state in model.states}
     while True:
-        refined = _split(rows, levels[-1])
-        if len(set(refined.values())) == len(set(levels[-1].values())):
-            return levels
-        levels.append(refined)
+        refined = _split(rows, partition)
+        if len(set(refined.values())) == len(set(partition.values())):
+            return
+        yield refined
+        partition = refined
 
 
 def _pairs(partition: dict[str, int]) -> frozenset:
@@ -139,7 +142,8 @@ def _pairs(partition: dict[str, int]) -> frozenset:
 
 def greatest_bisimulation(model: ConcurrentGameModel) -> frozenset:
     """The largest bisimulation, as a symmetric set of state pairs."""
-    return _pairs(_partition_levels(Effectivity(model))[-1])
+    *_, final = _levels(Effectivity(model))
+    return _pairs(final)
 
 
 def are_bisimilar(
@@ -152,6 +156,9 @@ def are_bisimilar(
 
     Public API (`tlcga.are_bisimilar`); nothing in the package calls it.
     """
+    for model, state in ((left, left_state), (right, right_state)):
+        if not model.has_state(state):
+            raise ValueError("unknown state %s" % state)
     union, left_map, right_map = disjoint_union(left, right)
     related = greatest_bisimulation(union)
     return (left_map[left_state], right_map[right_state]) in related
@@ -168,50 +175,49 @@ def hm_agreement(
     check a user can run on a model.
     """
     evaluator = Evaluator(model)
-    related = _pairs(_partition_levels(evaluator.effectivity)[-1])
+    *_, final = _levels(evaluator.effectivity)
+    pairs = sorted((s1, s2) for s1, s2 in _pairs(final) if s1 < s2)
     violations = []
     for phi in formulas:
         extension = evaluator.extension_of(phi)
-        for s1, s2 in sorted(related):
-            if s1 < s2 and (s1 in extension) != (s2 in extension):
+        for s1, s2 in pairs:
+            if (s1 in extension) != (s2 in extension):
                 violations.append((s1, s2, phi))
     return violations
 
 
 class _Characteristics:
-    """Level-indexed characteristic formulas per refinement class."""
+    """Characteristic formulas per class of each level iterated so far."""
 
     def __init__(self, index: Effectivity) -> None:
         model = index.model
         self.model = model
         self.index = index
         self.coalitions = _coalitions(model)
-        self.levels = _partition_levels(index)
-        self.position = {state: i for i, state in enumerate(model.states)}
-        self._representatives: list[dict[int, str]] = []
-        for partition in self.levels:
-            firsts: dict[int, str] = {}
-            for state in model.states:
-                firsts.setdefault(partition[state], state)
-            self._representatives.append(firsts)
-        self._memo: dict[tuple[int, str], StateFormula] = {}
+        self._source = _levels(index)
+        self.levels: list[dict[str, int]] = []
+        self._firsts: list[dict[int, str]] = []
+        self._memo: dict[tuple[int, int], StateFormula] = {}
         self._names = [
             Coalition(model.agents[k] for k in indices)
             for indices in self.coalitions
         ]
 
-    def representative(self, level: int, state: str) -> str:
-        """The least state by position in the class of `state`."""
-        return self._representatives[level][self.levels[level][state]]
+    def __iter__(self) -> Iterator[dict[str, int]]:
+        for partition in self._source:
+            firsts: dict[int, str] = {}
+            for state, cls in partition.items():
+                firsts.setdefault(cls, state)
+            self.levels.append(partition)
+            self._firsts.append(firsts)
+            yield partition
 
-    def formula(self, level: int, state: str) -> StateFormula:
-        rep = self.representative(level, state)
-        key = (level, rep)
-        if key in self._memo:
-            return self._memo[key]
-        result = self._build(level, rep)
-        self._memo[key] = result
-        return result
+    def formula(self, level: int, cls: int) -> StateFormula:
+        """The formula of class `cls`, built from its first member."""
+        key = (level, cls)
+        if key not in self._memo:
+            self._memo[key] = self._build(level, self._firsts[level][cls])
+        return self._memo[key]
 
     def _atoms(self, state: str) -> StateFormula:
         parts: list[StateFormula] = []
@@ -229,11 +235,8 @@ class _Characteristics:
             for name, indices in zip(self._names, self.coalitions):
                 blocks = self.index.blocks(state, indices)
                 outcomes = blocks.outcomes[blocks.of_profile[position]]
-                reps = sorted(
-                    {self.representative(level - 1, u) for u in outcomes},
-                    key=self.position.__getitem__,
-                )
-                body = disjoin([self.formula(level - 1, rep) for rep in reps])
+                classes = sorted({self.levels[level - 1][u] for u in outcomes})
+                body = disjoin([self.formula(level - 1, c) for c in classes])
                 entries.append((name, Next(body)))
             parts.append(strategic(GoalAssignment(entries)))
         return conjoin(parts)
@@ -253,20 +256,16 @@ def distinguishing_formula(
             raise ValueError("unknown state %s" % state)
     evaluator = Evaluator(model)
     chars = _Characteristics(evaluator.effectivity)
-    if chars.levels[-1][s1] == chars.levels[-1][s2]:
-        return None
-    first_split = next(
-        k for k, partition in enumerate(chars.levels)
-        if partition[s1] != partition[s2]
-    )
-    for level in range(first_split, len(chars.levels)):
+    for level, partition in enumerate(chars):
+        if partition[s1] == partition[s2]:
+            continue
         for positive, negative in ((s1, s2), (s2, s1)):
-            candidate = chars.formula(level, positive)
+            candidate = chars.formula(level, partition[positive])
             extension = evaluator.extension_of(candidate)
             if positive in extension and negative not in extension:
-                if positive == s1:
-                    return candidate
-                return Not(candidate)
+                return candidate if positive == s1 else Not(candidate)
+    if partition[s1] == partition[s2]:
+        return None
     raise AssertionError(
         "no characteristic formula separates %s and %s" % (s1, s2)
     )

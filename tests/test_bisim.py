@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from tlcga import bisim
 from tlcga.bisim import (
+    _levels,
     _pairs,
-    _partition_levels,
     are_bisimilar,
     distinguishing_formula,
     greatest_bisimulation,
@@ -231,7 +232,7 @@ class TestGreatestBisimulation:
         related = greatest_bisimulation(loop_pair())
         assert ("l0", "d0") not in related
         levels = [
-            _pairs(level) for level in _partition_levels(Effectivity(loop_pair()))
+            _pairs(level) for level in _levels(Effectivity(loop_pair()))
         ]
         assert ("l0", "d0") in levels[0]
         assert ("l0", "d0") not in levels[1]
@@ -336,9 +337,14 @@ class TestDistinguishingFormula:
         assert distinguishing_formula(duplicated_choice(), "m0", "m1") is None
 
     @pytest.mark.parametrize("pair", [("s", "ghost"), ("ghost", "s")])
-    def test_unknown_state_is_named(self, pair):
+    @pytest.mark.parametrize(
+        "compare",
+        [distinguishing_formula, lambda m, s1, s2: are_bisimilar(m, s1, m, s2)],
+        ids=["distinguishing_formula", "are_bisimilar"],
+    )
+    def test_unknown_state_is_named(self, compare, pair):
         with pytest.raises(ValueError, match="^unknown state ghost$"):
-            distinguishing_formula(example_a().model, *pair)
+            compare(example_a().model, *pair)
 
     def test_atom_level_split(self):
         model = example_a().model
@@ -346,6 +352,17 @@ class TestDistinguishingFormula:
         assert formula is not None
         assert check(model, "s", formula)
         assert not check(model, "s1", formula)
+
+    def test_atom_split_reads_no_action_block(self, monkeypatch):
+        def refuse(index, state):
+            raise AssertionError("action blocks read for %s" % state)
+
+        monkeypatch.setattr(bisim, "_block_rows", refuse)
+        model = example_a().model
+        formula = distinguishing_formula(model, "s", "s1")
+        assert check(model, "s", formula) and not check(model, "s1", formula)
+        river = sheep_wolves(5, 5, "simultaneous").model
+        assert str(distinguishing_formula(river, "eaten", "s5w5L")) == "!c & e"
 
     def test_dynamic_split_is_verified(self):
         model = loop_pair()
@@ -402,7 +419,7 @@ class TestAgreesWithPairwiseReference:
     @staticmethod
     def _agree(model):
         expected = reference_levels(model)
-        levels = _partition_levels(Effectivity(model))
+        levels = _levels(Effectivity(model))
         assert [_pairs(level) for level in levels] == expected
         assert greatest_bisimulation(model) == expected[-1]
 

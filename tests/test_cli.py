@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlcga.cli import build_parser, main
 from tlcga.corpus import build_case, default_cases, write_case
+from tlcga import bisim as bisim_mod
 from tlcga.bisim import greatest_bisimulation
 from tlcga.models import (
     ConcurrentGameModel,
@@ -470,6 +471,18 @@ class TestModelCommands:
                            "--state", "s", "--other-state", "s#0")
         assert code == 0
         assert "bisimilar: true" in out
+
+    def test_bisim_atom_split_on_a_large_model(self, capsys, monkeypatch):
+        # The pair differs in its atoms, so no action block is read.
+        def refuse(index, state):
+            raise AssertionError("action blocks read for %s" % state)
+
+        monkeypatch.setattr(bisim_mod, "_block_rows", refuse)
+        code, out, _ = run(capsys, "bisim", "--corpus-case", "sheep-wolves",
+                           "--params", "n_sheep=5,n_wolves=5",
+                           "--state", "eaten", "--other-state", "s5w5L")
+        assert code == 0
+        assert "distinguished by: !c & e" in out.splitlines()
 
     def test_bisim_pair_listing(self, capsys):
         _, out, _ = run(capsys, "bisim", "--corpus-case", "exampleB")

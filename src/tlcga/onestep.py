@@ -22,10 +22,13 @@ sequent, since even the empty redistribution needs a covering member.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
+from . import models
 from .formulas import (
     And,
     Coalition,
@@ -95,6 +98,8 @@ class OneStepSequent:
             mentioned |= _check_assignment(assignment, negative=False)
         for assignment in self.negatives:
             mentioned |= _check_assignment(assignment, negative=True)
+        if not self.agents:
+            raise ValueError("a one-step sequent needs at least one agent")
         stray = mentioned - set(self.variables)
         if stray:
             raise ValueError(
@@ -503,7 +508,6 @@ class OneStepGameForm:
     agents: tuple[str, ...]
     actions: tuple[GameFormAction, ...]
     planners: tuple[Mapping[Redistribution, frozenset[str]], ...]
-    sequent: OneStepSequent
 
     def formation(self, profile: tuple[int, ...]) -> Redistribution:
         behind: dict[int, set[str]] = {}
@@ -530,82 +534,86 @@ def validate_game_form(
     """Check the four satisfaction clauses directly, by enumeration.
 
     Returns human-readable violations; an empty list means the form
-    witnesses satisfiability of the sequent under the constraint.
+    witnesses satisfiability of the sequent under the constraint. The
+    form must be over the sequent's agents, and of at most
+    `models.MAX_TRANSITIONS` profiles (else `ResourceLimitError`).
     """
-    return _validate(
-        sequent,
-        constraint,
-        agents=form.agents,
-        action_count=len(form.actions),
-        outcome=form.outcome,
-    )
+    if form.agents != sequent.agents:
+        raise ValueError("the game form's agents are not the sequent's")
+    count, budget = len(form.actions), models.MAX_TRANSITIONS
+    if count ** len(form.agents) > budget:
+        raise models.ResourceLimitError(
+            "one-step witness would have more than %d profiles" % budget
+        )
+    profiles = itertools.product(range(count), repeat=len(form.agents))
+    return _validate(sequent, constraint, count, list(map(form.outcome, profiles)))
 
 
 def _validate(
     sequent: OneStepSequent,
     constraint: SatConstraint,
-    agents: tuple[str, ...],
     action_count: int,
-    outcome: Callable[[tuple[int, ...]], frozenset[str]],
+    outcomes: Sequence[frozenset[str]],
 ) -> list[str]:
-    all_profiles = list(
-        itertools.product(range(action_count), repeat=len(agents))
-    )
+    """The violated clauses, given one outcome per profile.
 
-    def agreeing(profile: tuple[int, ...], coalition: Coalition):
-        slots = [
-            (profile[i],) if agents[i] in coalition else range(action_count)
-            for i in range(len(agents))
-        ]
-        return itertools.product(*slots)
+    `outcomes` follows `itertools.product(range(action_count),
+    repeat=len(sequent.agents))`. A coalition's block at a profile holds
+    the profiles that agree with it on the coalition's members. There the
+    coalition forces p when p is in all the block's outcomes (their
+    intersection), and cannot avoid q when q is in one (their union).
+    Each coalition's merged blocks form a row aligned with the profiles,
+    built on first use by grouping the profiles by their restriction.
+    """
+    agents = sequent.agents
+
+    def profiles():
+        return itertools.product(range(action_count), repeat=len(agents))
+
+    @functools.cache
+    def row(coalition: Coalition, merge) -> Sequence[frozenset[str]]:
+        if len(coalition) == len(agents):  # every block is one profile
+            return outcomes
+        members = [i for i, agent in enumerate(agents) if agent in coalition]
+        key = operator.itemgetter(*members)
+        blocks: dict = {}
+        for part, outcome in set(zip(map(key, profiles()), outcomes)):
+            blocks.setdefault(part, []).append(outcome)
+        merged = {part: merge(*block) for part, block in blocks.items()}
+        return list(map(merged.get, map(key, profiles())))
 
     violations = []
     for number, positive in enumerate(sequent.positives):
-        wanted = {
-            coalition: _goal_variable(goal, negative=False)
+        wanted = [
+            (_goal_variable(goal, False), row(coalition, frozenset.intersection))
             for coalition, goal in positive
-        }
-        ok = any(
-            all(
-                all(
-                    variable in outcome(other)
-                    for other in agreeing(profile, coalition)
-                )
-                for coalition, variable in wanted.items()
-            )
-            for profile in all_profiles
-        )
-        if not ok:
-            violations.append(
-                "no profile realizes positive %d %s" % (number, positive)
-            )
+        ]
+        if not any(
+            all(variable in blocks[i] for variable, blocks in wanted)
+            for i in range(len(outcomes))
+        ):
+            violations.append("no profile realizes positive %d %s" % (number, positive))
     for number, negative in enumerate(sequent.negatives):
-        blocked = {
-            coalition: _goal_variable(goal, negative=True)
+        blocked = [
+            (_goal_variable(goal, True), row(coalition, frozenset.union))
             for coalition, goal in negative
-        }
-        for profile in all_profiles:
-            ok = any(
-                any(
-                    variable in outcome(other)
-                    for other in agreeing(profile, coalition)
-                )
-                for coalition, variable in blocked.items()
-            )
-            if not ok:
+        ]
+        for i, profile in enumerate(profiles()):
+            if not any(variable in blocks[i] for variable, blocks in blocked):
                 violations.append(
-                    "profile %s defeats negative %d %s"
-                    % (profile, number, negative)
+                    "profile %s defeats negative %d %s" % (profile, number, negative)
                 )
                 break
-    for profile in all_profiles:
-        if constraint.covering(outcome(profile)) is None:
+    reached = set(outcomes)
+    escaping = {outcome for outcome in reached if constraint.covering(outcome) is None}
+    for profile, outcome in zip(profiles(), outcomes):
+        if outcome in escaping:
             violations.append(
                 "outcome {%s} of profile %s escapes the constraint"
-                % (",".join(sorted(outcome(profile))), profile)
+                % (",".join(sorted(outcome)), profile)
             )
     for member in constraint.family:
-        if not any(outcome(profile) <= member for profile in all_profiles):
+        if not any(outcome <= member for outcome in reached):
             violations.append(
                 "no profile stays inside constraint member {%s}"
                 % ",".join(sorted(member))
@@ -641,7 +649,6 @@ def witness_game_form(
             agents=sequent.agents,
             actions=(GameFormAction(claim=None, planner=0, bet=0),),
             planners=(default,),
-            sequent=sequent,
         )
 
     planners: list[dict] = [default]
@@ -671,7 +678,6 @@ def witness_game_form(
         agents=sequent.agents,
         actions=actions,
         planners=tuple(planners),
-        sequent=sequent,
     )
 
 
@@ -702,18 +708,8 @@ def brute_force_satisfiable(
     if not closure:
         return False
     for action_count in range(1, max_actions + 1):
-        all_profiles = list(
-            itertools.product(range(action_count), repeat=len(sequent.agents))
-        )
-        for table in itertools.product(closure, repeat=len(all_profiles)):
-            outcome_map = dict(zip(all_profiles, table))
-            violations = _validate(
-                sequent,
-                constraint,
-                agents=sequent.agents,
-                action_count=action_count,
-                outcome=outcome_map.__getitem__,
-            )
-            if not violations:
+        profile_count = action_count ** len(sequent.agents)
+        for table in itertools.product(closure, repeat=profile_count):
+            if not _validate(sequent, constraint, action_count, table):
                 return True
     return False

@@ -662,10 +662,13 @@ class TestOneStep:
             ({"formulas": MIXED},
              {"family": [["p"]], "variables": ["p", "q", "r", "r"]},
              "repeated names in the constraint's variables: r"),
+            ({"formulas": []}, {"family": [[]]},
+             "a one-step sequent needs at least one agent"),
         ],
         ids=["family-as-integer", "sequent-as-list", "variables-as-integer",
              "agents-as-string", "member-as-string", "repeated-agent",
-             "repeated-sequent-variable", "repeated-constraint-variable"],
+             "repeated-sequent-variable", "repeated-constraint-variable",
+             "no-agents"],
     )
     def test_wrong_json_shapes_are_invalid_input(
         self, capsys, tmp_path, sequent, constraint, message
@@ -674,6 +677,20 @@ class TestOneStep:
         assert code == 2
         assert out == ""
         assert "invalid input: %s" % message in err
+        assert "Traceback" not in err
+
+    def test_an_over_budget_witness_is_a_resource_limit(self, capsys,
+                                                        tmp_path):
+        # The witness has 45 actions per agent: 45^5 profiles.
+        sequent = {"formulas": ["<< {a} -> X p >>", "<< {b} -> X q >>",
+                                "!<< {c,d} -> X !r >>"],
+                   "agents": ["a", "b", "c", "d", "e"]}
+        family = {"family": [["p", "q", "r"], ["p", "r"], ["q", "r"]]}
+        code, out, err = self._run(capsys, tmp_path, sequent, family)
+        assert code == 3
+        assert out == ""
+        assert ("resource limit: one-step witness would have more than"
+                " 2000000 profiles") in err
         assert "Traceback" not in err
 
 

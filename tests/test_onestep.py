@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from tlcga import onestep
+from tlcga import models, onestep
 from tlcga.formulas import Coalition, GoalAssignment
 from tlcga.onestep import (
     GameFormAction,
@@ -23,6 +23,7 @@ from tlcga.onestep import (
     validate_game_form,
     witness_game_form,
 )
+from tlcga.models import ResourceLimitError
 from tlcga.parser import parse_state_formula
 from tlcga.sampling import make_rng, random_onestep_instance
 
@@ -312,10 +313,199 @@ class TestWitnessGameForm:
             agents=("a",),
             actions=(GameFormAction(claim=None, planner=0, bet=0),),
             planners=({Redistribution(()): frozenset({"q"})},),
-            sequent=sequent,
         )
         report = validate_game_form(broken, sequent, family)
         assert any("escapes the constraint" in line for line in report)
+
+    def test_a_form_over_other_agents_is_rejected(self):
+        sequent = mixed_sequent()
+        family = constraint(["p", "q"], ["q", "r"])
+        form = witness_game_form(sequent, family)
+        for agents in [("a",), ("a", "b", "c"), ("b", "a")]:
+            other = OneStepGameForm(agents, form.actions, form.planners)
+            with pytest.raises(ValueError, match="agents are not the sequent's"):
+                validate_game_form(other, sequent, family)
+
+
+def three_agent_sequent():
+    """Two solo positives and a veto: a witness of 27 actions per agent."""
+    return sequent_from_formulas(
+        [
+            phi("<< {a} -> X p >>"),
+            phi("<< {b} -> X q >>"),
+            phi("!<< {c} -> X !r >>"),
+        ]
+    ), constraint(["p", "q", "r"], ["p", "r"], ["q", "r"])
+
+
+class TestValidationBudget:
+    def test_the_budget_is_read_at_call_time(self, monkeypatch):
+        sequent, family = three_agent_sequent()
+        form = witness_game_form(sequent, family)
+        assert len(form.actions) ** 3 == 19683
+        monkeypatch.setattr(models, "MAX_TRANSITIONS", 19683)
+        assert validate_game_form(form, sequent, family) == []
+
+        def refuse(self, profile):
+            raise AssertionError("outcome computed for %s" % (profile,))
+
+        # Past the budget, no profile's outcome is computed.
+        monkeypatch.setattr(models, "MAX_TRANSITIONS", 19682)
+        monkeypatch.setattr(OneStepGameForm, "outcome", refuse)
+        with pytest.raises(ResourceLimitError, match="more than 19682 profiles"):
+            validate_game_form(form, sequent, family)
+
+
+def reference_validate(sequent, constraint, agents, action_count, outcome):
+    """The four clauses, each block enumerated afresh for every profile."""
+    all_profiles = list(
+        itertools.product(range(action_count), repeat=len(agents))
+    )
+
+    def agreeing(profile, coalition):
+        slots = [
+            (profile[i],) if agents[i] in coalition else range(action_count)
+            for i in range(len(agents))
+        ]
+        return itertools.product(*slots)
+
+    violations = []
+    for number, positive in enumerate(sequent.positives):
+        wanted = {
+            coalition: onestep._goal_variable(goal, negative=False)
+            for coalition, goal in positive
+        }
+        ok = any(
+            all(
+                all(
+                    variable in outcome(other)
+                    for other in agreeing(profile, coalition)
+                )
+                for coalition, variable in wanted.items()
+            )
+            for profile in all_profiles
+        )
+        if not ok:
+            violations.append(
+                "no profile realizes positive %d %s" % (number, positive)
+            )
+    for number, negative in enumerate(sequent.negatives):
+        blocked = {
+            coalition: onestep._goal_variable(goal, negative=True)
+            for coalition, goal in negative
+        }
+        for profile in all_profiles:
+            ok = any(
+                any(
+                    variable in outcome(other)
+                    for other in agreeing(profile, coalition)
+                )
+                for coalition, variable in blocked.items()
+            )
+            if not ok:
+                violations.append(
+                    "profile %s defeats negative %d %s"
+                    % (profile, number, negative)
+                )
+                break
+    for profile in all_profiles:
+        if constraint.covering(outcome(profile)) is None:
+            violations.append(
+                "outcome {%s} of profile %s escapes the constraint"
+                % (",".join(sorted(outcome(profile))), profile)
+            )
+    for member in constraint.family:
+        if not any(outcome(profile) <= member for profile in all_profiles):
+            violations.append(
+                "no profile stays inside constraint member {%s}"
+                % ",".join(sorted(member))
+            )
+    return violations
+
+
+KINDS = ("realizes", "defeats", "escapes", "stays")
+
+
+def random_subset(rng, variables):
+    return frozenset(rng.sample(variables, rng.randint(0, len(variables))))
+
+
+class TestValidationAgainstTheReference:
+    """Block rows give the reference's violations, line for line."""
+
+    @staticmethod
+    def agree(form, sequent, family):
+        got = validate_game_form(form, sequent, family)
+        assert got == reference_validate(
+            sequent, family, form.agents, len(form.actions), form.outcome
+        )
+        return got
+
+    def seeded_witnesses(self, seed, draws):
+        rng = make_rng(seed)
+        for _ in range(draws):
+            sequent, family = random_onestep_instance(rng)
+            if sequent_satisfiable(sequent, family):
+                yield sequent, family, witness_game_form(sequent, family)
+
+    def test_witness_forms_of_seeded_draws(self):
+        checked = 0
+        for sequent, family, form in self.seeded_witnesses(52000, 250):
+            assert self.agree(form, sequent, family) == []
+            checked += 1
+        assert checked > 90
+
+    def test_witness_forms_with_mutated_planners(self):
+        rng = make_rng(52001)
+        broken, kinds = 0, set()
+        for sequent, family, form in self.seeded_witnesses(52002, 250):
+            planners = tuple(
+                {
+                    formation: random_subset(rng, sequent.variables)
+                    if rng.random() < 0.3
+                    else member
+                    for formation, member in planner.items()
+                }
+                for planner in form.planners
+            )
+            mutated = OneStepGameForm(form.agents, form.actions, planners)
+            got = self.agree(mutated, sequent, family)
+            broken += bool(got)
+            kinds |= {kind for line in got for kind in KINDS if kind in line}
+        assert broken > 25
+        assert kinds == set(KINDS)
+
+    def test_random_outcome_tables(self):
+        rng = make_rng(52003)
+        edge = [
+            OneStepSequent(("a",), ("p",), (GoalAssignment(),), ()),
+            OneStepSequent(("a", "b"), ("p",), (), (GoalAssignment(),)),
+        ]
+        draws = [random_onestep_instance(rng) for _ in range(300)]
+        draws += [(sequent, SatConstraint.over(["p"], [["p"], []])) for sequent in edge]
+        kinds = set()
+        for sequent, family in draws:
+            action_count = rng.randint(1, 3)
+            profiles = list(
+                itertools.product(range(action_count), repeat=len(sequent.agents))
+            )
+            table = [random_subset(rng, sequent.variables) for _ in profiles]
+            got = onestep._validate(sequent, family, action_count, table)
+            assert got == reference_validate(
+                sequent,
+                family,
+                sequent.agents,
+                action_count,
+                dict(zip(profiles, table)).__getitem__,
+            )
+            kinds |= {kind for line in got for kind in KINDS if kind in line}
+        assert kinds == set(KINDS)
+
+    def test_a_three_agent_form(self):
+        sequent, family = three_agent_sequent()
+        form = witness_game_form(sequent, family)
+        assert len(form.actions) == 27
+        assert self.agree(form, sequent, family) == []
 
 
 class TestOneWalk:

@@ -136,6 +136,8 @@ def _parse_params(text: Optional[str]) -> dict:
         if "=" not in piece:
             raise UsageError("--params expects k=v pairs, got %r" % piece)
         key, value = (part.strip() for part in piece.split("=", 1))
+        if key in params:
+            raise ValueError("parameter %s given twice" % key)
         params[key] = int(value) if value.isdecimal() else value
     return params
 

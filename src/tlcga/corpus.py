@@ -259,7 +259,10 @@ def build_river_crossing(
     to stand on the left bank; an animal on the far side has its action
     ignored. So a state's transitions depend only on how many sheep and
     how many wolves board on the boat's side: bitmasks by agent position
-    count them in each profile. Returns the model and its start state.
+    count them in each profile, and each state resolves the target of
+    each count once, at the first profile with that count (the order in
+    which states are added is the order of those first profiles).
+    Returns the model and its start state.
 
     A sink has one transition and every other state one per profile,
     2^(n_sheep + n_wolves). A build of more than `models.MAX_TRANSITIONS`
@@ -340,16 +343,22 @@ def build_river_crossing(
         left = sum(bit[name] for name in sheep[:sheep_left] + wolves[:wolves_left])
         here = left if side == "L" else everyone ^ left
         sheep_mask, wolves_mask = here & flock, here & ~flock
+        # This state's target per (boarding sheep, boarding wolves) count.
+        targets: dict[tuple[int, int], str] = {}
         for profile, boarders in profiles:
-            boarding_sheep = (boarders & sheep_mask).bit_count()
-            boarding_wolves = (boarders & wolves_mask).bit_count()
-            if mode == "simultaneous":
-                target = resolve(*config, boarding_sheep, boarding_wolves)
-            elif len(config) == 3:
-                target = (*config, boarding_wolves)
-            else:
-                target = resolve(*config[:3], boarding_sheep, config[3])
-            outcome[(state, profile)] = visit(target)
+            count = ((boarders & sheep_mask).bit_count(),
+                     (boarders & wolves_mask).bit_count())
+            target = targets.get(count)
+            if target is None:
+                boarding_sheep, boarding_wolves = count
+                if mode == "simultaneous":
+                    target = resolve(*config, boarding_sheep, boarding_wolves)
+                elif len(config) == 3:
+                    target = (*config, boarding_wolves)
+                else:
+                    target = resolve(*config[:3], boarding_sheep, config[3])
+                target = targets[count] = visit(target)
+            outcome[(state, profile)] = target
 
     valuation = {"e": [EATEN], "c": [CROSSED]}
     return ConcurrentGameModel(agents, states, actions, outcome, valuation), start
@@ -399,14 +408,17 @@ def build_case(name: str, **params) -> CorpusCase:
 
     sheep-wolves takes n_sheep and n_wolves, optionally mode; a build of
     more than `models.MAX_TRANSITIONS` transitions raises
-    ResourceLimitError. The other names take no parameters. A bad name
-    or value raises ValueError naming the parameter.
+    ResourceLimitError. The other names take no parameters. A bad name,
+    a missing count or a bad value raises ValueError naming the
+    parameter.
     """
     if name == "sheep-wolves":
         for key in (*params, "n_sheep", "n_wolves"):
             if key not in ("n_sheep", "n_wolves", "mode"):
                 raise ValueError("sheep-wolves has no parameter %r" % key)
-            value = params.get(key)
+            if key not in params:
+                raise ValueError("sheep-wolves needs parameter %s" % key)
+            value = params[key]
             if key != "mode" and not (isinstance(value, int) and value >= 0):
                 raise ValueError(
                     "parameter %s must be a non-negative integer, got %r"

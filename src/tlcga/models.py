@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class InvalidModelError(ValueError):
@@ -347,7 +348,7 @@ class ConcurrentGameModel:
 class Blocks(NamedTuple):
     """One coalition's action blocks at one state; see `Effectivity`."""
 
-    of_profile: tuple[int, ...]
+    of_profile: Sequence[int]
     outcomes: tuple[frozenset[str], ...]
     of_restriction: dict[tuple[str, ...], int]
 
@@ -362,6 +363,14 @@ class Effectivity:
     each joint action. The coalition can force a target set exactly when
     one of its blocks has all its outcomes in the target.
 
+    Each state's outcomes are read once, into a row aligned with
+    `profiles(state)` that every coalition's blocks at that state share;
+    a missing outcome raises what `model.out` raises. A block's outcome
+    set is filled from the distinct (block, outcome) pairs. When a
+    state's profiles are distinct, the grand coalition's blocks are the
+    profiles themselves: `of_profile` is `range(len(profiles))` and each
+    outcome set a singleton.
+
     An index lives for one query: an `Evaluator` owns one, and the
     oracle, `atl_check` and each bisimulation call make their own. It is
     not cached on the model, which would keep it alive with the model.
@@ -370,35 +379,64 @@ class Effectivity:
     def __init__(self, model: ConcurrentGameModel) -> None:
         self.model = model
         self._agent_index = {agent: i for i, agent in enumerate(model.agents)}
+        self._rows: dict[str, list[str]] = {}
         self._blocks: dict[tuple[str, tuple[int, ...]], Blocks] = {}
 
     def positions(self, coalition: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted({self._agent_index[agent] for agent in coalition}))
 
+    def _row(self, state: str) -> list[str]:
+        """The state's outcomes, aligned with `profiles(state)`."""
+        row = self._rows.get(state)
+        if row is None:
+            profiles = self.model.profiles(state)
+            outcome = self.model.outcome
+            try:
+                row = [outcome[state, profile] for profile in profiles]
+            except KeyError:
+                # Raise what `out` raises for the first missing outcome.
+                for profile in profiles:
+                    self.model.out(state, profile)
+                raise
+            self._rows[state] = row
+        return row
+
     def blocks(self, state: str, coalition: tuple[int, ...]) -> Blocks:
         cached = self._blocks.get((state, coalition))
         if cached is None:
-            profiles = self.model.profiles(state)
-            if len(coalition) == len(self.model.agents):
-                restrictions = profiles
-            else:
-                restrictions = [tuple([p[i] for i in coalition]) for p in profiles]
-            of_restriction: dict[tuple[str, ...], int] = {}
-            of_profile = tuple([
-                of_restriction.setdefault(restriction, len(of_restriction))
-                for restriction in restrictions
-            ])
-            outcomes: list[set[str]] = [set() for _ in of_restriction]
-            outcome = self.model.outcome
-            for block, profile in zip(of_profile, profiles):
-                # `out` is only reached for a missing outcome, and raises.
-                outcomes[block].add(
-                    outcome.get((state, profile)) or self.model.out(state, profile)
-                )
-            cached = self._blocks[(state, coalition)] = Blocks(
-                of_profile, tuple(map(frozenset, outcomes)), of_restriction
+            cached = self._blocks[(state, coalition)] = self._build(
+                state, coalition
             )
         return cached
+
+    def _build(self, state: str, coalition: tuple[int, ...]) -> Blocks:
+        profiles = self.model.profiles(state)
+        row = self._row(state)
+        if len(coalition) == len(self.model.agents):
+            of_restriction = dict(zip(profiles, itertools.count()))
+            if len(of_restriction) == len(profiles):
+                singleton = {target: frozenset((target,)) for target in set(row)}
+                return Blocks(range(len(profiles)),
+                              tuple(map(singleton.__getitem__, row)),
+                              of_restriction)
+            # An agent lists an action twice, so profiles repeat.
+            restrictions = profiles
+        elif len(coalition) > 1:
+            restrictions = list(map(operator.itemgetter(*coalition), profiles))
+        elif coalition:
+            # One position's getter gives the bare action; zip wraps it.
+            restrictions = list(zip(map(operator.itemgetter(*coalition), profiles)))
+        else:
+            restrictions = [()] * len(profiles)
+        of_restriction = {}
+        of_profile = tuple([
+            of_restriction.setdefault(restriction, len(of_restriction))
+            for restriction in restrictions
+        ])
+        outcomes: list[set[str]] = [set() for _ in of_restriction]
+        for block, target in set(zip(of_profile, row)):
+            outcomes[block].add(target)
+        return Blocks(of_profile, tuple(map(frozenset, outcomes)), of_restriction)
 
 
 _JSON_TYPES = {list: "list", dict: "object", str: "string"}

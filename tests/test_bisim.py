@@ -1,6 +1,6 @@
 """Bisimulation computation, invariance, and distinguishing formulas."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -520,6 +520,47 @@ class TestEffectivityAgreesWithFilter:
         assert index.blocks("u", (0, 1)).of_profile == (0, 1, 2, 3, 0, 1)
         assert index.blocks("u", (0,)).of_profile == (0, 0, 1, 1, 0, 0)
         assert index.blocks("u", (1,)).of_restriction == {("r",): 0, ("l",): 1}
+
+    def test_every_restriction_path(self):
+        # At u agent a lists x twice, so u's profiles repeat; v's do not.
+        acts = {"u": {"a": ["x", "y", "x"], "b": ["l", "r"], "c": ["m", "n"]},
+                "v": {"a": ["x"], "b": ["l", "r"], "c": ["m"]}}
+        states = ["u", "v", "w"]
+        outcome = {}
+        for state in ("u", "v"):
+            distinct = [dict.fromkeys(acts[state][agent]) for agent in "abc"]
+            for i, profile in enumerate(product(*distinct)):
+                outcome[(state, profile)] = states[i % 3]
+        acts["w"] = {"a": ["x"], "b": ["l"], "c": ["m"]}
+        outcome[("w", ("x", "l", "m"))] = "u"
+        model = ConcurrentGameModel(
+            agents=["a", "b", "c"], states=states, actions=acts,
+            outcome=outcome, valuation={"p": ["v"]},
+        )
+        self._agree(model)
+        index = Effectivity(model)
+        # The empty coalition: one block holding every outcome.
+        nobody = index.blocks("u", ())
+        assert nobody.of_profile == (0,) * 12
+        assert nobody.of_restriction == {(): 0}
+        assert nobody.outcomes == (frozenset(states),)
+        # One member: restrictions are 1-tuples.
+        assert index.blocks("u", (0,)).of_restriction == {("x",): 0, ("y",): 1}
+        assert index.blocks("u", (0,)).of_profile == (0,) * 4 + (1,) * 4 + (0,) * 4
+        # A proper coalition of two members.
+        pair = index.blocks("u", (0, 2))
+        assert list(pair.of_restriction) == [
+            ("x", "m"), ("x", "n"), ("y", "m"), ("y", "n")]
+        assert pair.of_profile == (0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1)
+        # The grand coalition: repeated profiles share a block at u, and
+        # v's distinct profiles are each their own singleton block.
+        everyone = index.blocks("u", (0, 1, 2))
+        assert everyone.of_profile == tuple(range(8)) + tuple(range(4))
+        assert len(everyone.of_restriction) == 8
+        alone = index.blocks("v", (0, 1, 2))
+        assert list(alone.of_profile) == [0, 1]
+        assert alone.outcomes == tuple(
+            frozenset([model.out("v", profile)]) for profile in model.profiles("v"))
 
     def test_random_models(self):
         rng = make_rng(4421)

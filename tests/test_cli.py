@@ -957,10 +957,10 @@ class TestCorpus:
                 "n_sheep=1,n_wolves=x",
                 "parameter n_wolves must be a non-negative integer, got 'x'",
             ),
-            (
-                "n_sheep=2",
-                "parameter n_wolves must be a non-negative integer, got None",
-            ),
+            ("n_sheep=2", "sheep-wolves needs parameter n_wolves"),
+            ("n_wolves=1,mode=simultaneous", "sheep-wolves needs parameter n_sheep"),
+            ("n_sheep=1,n_sheep=2,n_wolves=1", "parameter n_sheep given twice"),
+            ("n_sheep=1,n_wolves=1,n_wolves=1", "parameter n_wolves given twice"),
             (
                 "n_sheep=\u00b2,n_wolves=1",
                 "parameter n_sheep must be a non-negative integer, got '\u00b2'",

@@ -129,6 +129,13 @@ class Evaluator:
         )
 
     def _strategic(self, assignment: GoalAssignment, env) -> frozenset[str]:
+        """States where one profile puts every coalition inside its target.
+
+        A coalition's target is the meet of its nexttime goals. At each
+        state the candidates are a bitmask over the profile positions:
+        each requirement ORs the masks (`Effectivity.masks`) of the
+        outcome sets inside its target, and ANDs that in, stopping at 0.
+        """
         index = self.effectivity
         requirements = []
         for coalition, goal in assignment:
@@ -144,12 +151,15 @@ class Evaluator:
 
         result = []
         for state in self.model.states:
-            # Profile positions whose blocks meet every requirement so far.
-            candidates = range(len(self.model.profiles(state)))
+            # Bitmask of the profile positions whose blocks meet every
+            # requirement so far.
+            candidates = (1 << len(self.model.profiles(state))) - 1
             for positions, target in requirements:
-                of_profile, outcomes, _ = index.blocks(state, positions)
-                ok = [outs <= target for outs in outcomes]
-                candidates = [p for p in candidates if ok[of_profile[p]]]
+                fits = 0
+                for outs, mask in index.masks(state, positions):
+                    if outs <= target:
+                        fits |= mask
+                candidates &= fits
                 if not candidates:
                     break
             if candidates:

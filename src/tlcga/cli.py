@@ -179,13 +179,32 @@ _DOCUMENTS = {
 }
 
 
+def _agents_named(phi: StateFormula) -> set[str]:
+    """Every agent a coalition of `phi` names."""
+    agents: set[str] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Strategic):
+            agents |= node.assignment.grand_union()
+            stack.extend(goal for _, goal in node.assignment)
+        else:
+            stack.extend(
+                child
+                for child in (getattr(node, name) for name in node.__match_args__)
+                if not isinstance(child, str)
+            )
+    return agents
+
+
 def _resolve(args, report: RunReport) -> None:
     """Read the inputs `args.inputs` declares, replacing each on `args`.
 
     The order is fixed: the model source, the formula, the default
     `--state`, the JSON documents, then every state name. Each name the
-    user gave is checked here, and the report's model hash, formula and
-    state are filled, so a handler only computes its answer.
+    user gave, agents in the formula included, is checked here, and the
+    report's model hash, formula and state are filled, so a handler only
+    computes its answer.
     """
     case = None
     if "model" in args.inputs:
@@ -199,8 +218,16 @@ def _resolve(args, report: RunReport) -> None:
         report.model_hash = args.model.content_hash()
     for flag in ("formula", "goals"):
         if flag in args.inputs:
-            setattr(args, flag, _read_formula(args, flag, case))
-            report.formula = str(getattr(args, flag))
+            phi = _read_formula(args, flag, case)
+            setattr(args, flag, phi)
+            report.formula = str(phi)
+            if "model" in args.inputs:
+                unknown = _agents_named(phi) - set(args.model.agents)
+                if unknown:
+                    raise ValueError(
+                        "formula names agent %s, which the model does not"
+                        " declare" % min(unknown)
+                    )
     if "state" in args.inputs:
         if args.state is None:
             if case is None:

@@ -111,14 +111,24 @@ class ConcurrentGameModel:
         return self.actions[state].get(agent, ())
 
     def profiles(self, state: str) -> tuple[tuple[str, ...], ...]:
-        """All locally available action profiles, in canonical order."""
+        """All locally available action profiles, in canonical order.
+
+        The product is built once per action signature (the state's
+        action tuples in agent order), so states with equal action lists
+        get the same tuple object.
+        """
         cached = self._profiles.get(state)
         if cached is None:
-            cached = tuple(
-                itertools.product(
-                    *(self.actions_of(state, agent) for agent in self.agents)
+            # One dict serves both keys: state ids are strings and
+            # signatures tuples, so they cannot collide.
+            signature = tuple([
+                self.actions_of(state, agent) for agent in self.agents
+            ])
+            cached = self._profiles.get(signature)
+            if cached is None:
+                cached = self._profiles[signature] = tuple(
+                    itertools.product(*signature)
                 )
-            )
             self._profiles[state] = cached
         return cached
 
@@ -319,17 +329,24 @@ class ConcurrentGameModel:
             )
         digest.update(b'],"transitions":{')
         outcome = self.outcome
-        prefixes: dict[tuple[str, ...], str] = {}
+        # Each transition record is a profile prefix plus its quoted
+        # target. `profiles` shares one tuple per action signature, so
+        # the prefixes are built once per tuple, keyed by its id.
+        prefixes: dict[int, list[str]] = {}
         try:
             for i, state in enumerate(ids):
-                entries = []
-                for profile in self.profiles(state):
-                    prefix = prefixes.get(profile)
-                    if prefix is None:
-                        prefix = prefixes[profile] = '{"profile":{' + ",".join([
+                profiles = self.profiles(state)
+                heads = prefixes.get(id(profiles))
+                if heads is None:
+                    heads = prefixes[id(profiles)] = [
+                        '{"profile":{' + ",".join([
                             key + quote(action) for key, action in zip(keys, profile)
                         ]) + '},"to":'
-                    entries.append(prefix + quote(outcome[(state, profile)]) + "}")
+                        for profile in profiles
+                    ]
+                targets = [outcome[(state, profile)] for profile in profiles]
+                tails = {target: quote(target) + "}" for target in set(targets)}
+                entries = map(operator.add, heads, map(tails.__getitem__, targets))
                 digest.update(
                     (("," if i else "") + quote(state) + ":[" + ",".join(entries)
                      + "]").encode()
@@ -363,24 +380,46 @@ class Effectivity:
     each joint action. The coalition can force a target set exactly when
     one of its blocks has all its outcomes in the target.
 
-    Each state's outcomes are read once, into a row aligned with
-    `profiles(state)` that every coalition's blocks at that state share;
-    a missing outcome raises what `model.out` raises. A block's outcome
-    set is filled from the distinct (block, outcome) pairs. When a
-    state's profiles are distinct, the grand coalition's blocks are the
-    profiles themselves: `of_profile` is `range(len(profiles))` and each
-    outcome set a singleton.
+    The split depends only on the profiles, and the model gives states
+    with equal action lists one shared profile tuple. So `of_profile`
+    and `of_restriction` are built once per (profile tuple, coalition)
+    and shared by every such state; no reader may mutate them. When the
+    profiles are distinct, the grand coalition's blocks are the profiles
+    themselves: `of_profile` is `range(len(profiles))`. When an agent
+    lists an action twice, it takes the general path.
+
+    Only `outcomes` is built per state, from the state's outcome row: a
+    list aligned with `profiles(state)`, read once and shared by every
+    coalition's blocks there. A missing outcome raises what `model.out`
+    raises. A block's outcome set is filled from the distinct (block,
+    outcome) pairs; the grand coalition's identity blocks get one
+    singleton per distinct outcome.
+
+    `masks` serves the strategic step: a state's distinct block outcome
+    sets, each with the bitmask of the profile positions whose blocks
+    have it. Masks are built only when asked, so a reader of `blocks`
+    alone (bisimulation reads every coalition's) does not pay for them.
 
     An index lives for one query: an `Evaluator` owns one, and the
     oracle, `atl_check` and each bisimulation call make their own. It is
     not cached on the model, which would keep it alive with the model.
+    Profile tuples are keyed by their id, which stays valid because the
+    model holds every tuple it has handed out.
     """
 
     def __init__(self, model: ConcurrentGameModel) -> None:
         self.model = model
         self._agent_index = {agent: i for i, agent in enumerate(model.agents)}
         self._rows: dict[str, list[str]] = {}
+        self._shapes: dict[
+            tuple[int, tuple[int, ...]],
+            tuple[Sequence[int], dict[tuple[str, ...], int]],
+        ] = {}
+        self._shape_masks: dict[tuple[int, tuple[int, ...]], list[int]] = {}
         self._blocks: dict[tuple[str, tuple[int, ...]], Blocks] = {}
+        self._masks: dict[
+            tuple[str, tuple[int, ...]], list[tuple[frozenset[str], int]]
+        ] = {}
 
     def positions(self, coalition: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted({self._agent_index[agent] for agent in coalition}))
@@ -412,13 +451,29 @@ class Effectivity:
     def _build(self, state: str, coalition: tuple[int, ...]) -> Blocks:
         profiles = self.model.profiles(state)
         row = self._row(state)
+        of_profile, of_restriction = self._shape(profiles, coalition)
+        if isinstance(of_profile, range):
+            singleton = {target: frozenset((target,)) for target in set(row)}
+            return Blocks(of_profile, tuple(map(singleton.__getitem__, row)),
+                          of_restriction)
+        outcomes: list[set[str]] = [set() for _ in of_restriction]
+        for block, target in set(zip(of_profile, row)):
+            outcomes[block].add(target)
+        return Blocks(of_profile, tuple(map(frozenset, outcomes)), of_restriction)
+
+    def _shape(
+        self, profiles: tuple[tuple[str, ...], ...], coalition: tuple[int, ...]
+    ) -> tuple[Sequence[int], dict[tuple[str, ...], int]]:
+        """`of_profile` and `of_restriction` of the coalition's blocks."""
+        key = (id(profiles), coalition)
+        shape = self._shapes.get(key)
+        if shape is not None:
+            return shape
         if len(coalition) == len(self.model.agents):
             of_restriction = dict(zip(profiles, itertools.count()))
             if len(of_restriction) == len(profiles):
-                singleton = {target: frozenset((target,)) for target in set(row)}
-                return Blocks(range(len(profiles)),
-                              tuple(map(singleton.__getitem__, row)),
-                              of_restriction)
+                shape = self._shapes[key] = (range(len(profiles)), of_restriction)
+                return shape
             # An agent lists an action twice, so profiles repeat.
             restrictions = profiles
         elif len(coalition) > 1:
@@ -433,10 +488,58 @@ class Effectivity:
             of_restriction.setdefault(restriction, len(of_restriction))
             for restriction in restrictions
         ])
-        outcomes: list[set[str]] = [set() for _ in of_restriction]
-        for block, target in set(zip(of_profile, row)):
-            outcomes[block].add(target)
-        return Blocks(of_profile, tuple(map(frozenset, outcomes)), of_restriction)
+        shape = self._shapes[key] = (of_profile, of_restriction)
+        return shape
+
+    def masks(
+        self, state: str, coalition: tuple[int, ...]
+    ) -> list[tuple[frozenset[str], int]]:
+        """Each distinct block outcome set, with its blocks' profile bitmask.
+
+        Bit p of a mask stands for position p of `profiles(state)`.
+        """
+        key = (state, coalition)
+        cached = self._masks.get(key)
+        if cached is None:
+            profiles = self.model.profiles(state)
+            of_profile, _ = self._shape(profiles, coalition)
+            if isinstance(of_profile, range):
+                # Identity blocks: group the positions by their target.
+                members: dict[str, list[int]] = {}
+                for position, target in enumerate(self._row(state)):
+                    members.setdefault(target, []).append(position)
+                cached = [
+                    (frozenset((target,)), _bits(where))
+                    for target, where in members.items()
+                ]
+            else:
+                merged: dict[frozenset[str], int] = {}
+                outcomes = self.blocks(state, coalition).outcomes
+                block_masks = self._block_masks(profiles, coalition)
+                for outs, mask in zip(outcomes, block_masks):
+                    merged[outs] = merged.get(outs, 0) | mask
+                cached = list(merged.items())
+            self._masks[key] = cached
+        return cached
+
+    def _block_masks(
+        self, profiles: tuple[tuple[str, ...], ...], coalition: tuple[int, ...]
+    ) -> list[int]:
+        """Each block's bitmask of profile positions, shared like its shape."""
+        key = (id(profiles), coalition)
+        masks = self._shape_masks.get(key)
+        if masks is None:
+            of_profile, of_restriction = self._shape(profiles, coalition)
+            members: list[list[int]] = [[] for _ in of_restriction]
+            for position, block in enumerate(of_profile):
+                members[block].append(position)
+            masks = self._shape_masks[key] = list(map(_bits, members))
+        return masks
+
+
+def _bits(positions: Iterable[int]) -> int:
+    """The bitmask with the given bit positions set."""
+    return sum(map((1).__lshift__, positions))
 
 
 _JSON_TYPES = {list: "list", dict: "object", str: "string"}

@@ -11,8 +11,15 @@ from tlcga.checking import (
     extension_of,
     valid_on,
 )
-from tlcga.corpus import default_cases, example_a, example_b, example_b_gamma_prime, password
-from tlcga.formulas import Implies, Prop, Var, strategic
+from tlcga.corpus import (
+    build_case,
+    default_cases,
+    example_a,
+    example_b,
+    example_b_gamma_prime,
+    password,
+)
+from tlcga.formulas import Implies, Prop, Var, path_conjuncts, strategic
 from tlcga.models import ConcurrentGameModel
 from tlcga.parser import parse_state_formula
 from tlcga.sampling import (
@@ -22,6 +29,8 @@ from tlcga.sampling import (
     random_state_formula,
 )
 from tlcga.transforms import _Translator, to_mu
+
+from test_bisim import duplicated_action
 
 
 def chain():
@@ -247,3 +256,94 @@ class TestExtensionOf:
         assert ev.extension_of(formula) == first
         assert ev.extension_of(parse_state_formula(case.formulas["gammaB"])) == first
         assert len(calls) == translated
+
+
+def reference_strategic(evaluator, assignment, env):
+    """The strategic step as a per-profile filter over the blocks.
+
+    At each state the candidates are a list of profile positions, and
+    each requirement keeps those whose block's outcomes lie inside its
+    target. This is the step the bitmask version replaced.
+    """
+    index = evaluator.effectivity
+    requirements = []
+    for coalition, goal in assignment:
+        target = frozenset(evaluator.model.states)
+        for part in path_conjuncts(goal):
+            target &= evaluator.extension(part.body, env)
+        requirements.append((index.positions(coalition), target))
+    result = []
+    for state in evaluator.model.states:
+        candidates = range(len(evaluator.model.profiles(state)))
+        for positions, target in requirements:
+            of_profile, outcomes, _ = index.blocks(state, positions)
+            ok = [outs <= target for outs in outcomes]
+            candidates = [p for p in candidates if ok[of_profile[p]]]
+            if not candidates:
+                break
+        if candidates:
+            result.append(state)
+    return frozenset(result)
+
+
+class ReferenceEvaluator(Evaluator):
+    def _strategic(self, assignment, env):
+        return reference_strategic(self, assignment, env)
+
+
+def assert_masks_agree(model, formula, label):
+    fast, slow = Evaluator(model), ReferenceEvaluator(model)
+    assert fast.extension_of(formula) == slow.extension_of(formula), label
+    assert fast.iterations == slow.iterations, label
+
+
+class TestMasksAgainstTheProfileFilter:
+    """The bitmask step gives the extensions of the per-profile filter."""
+
+    def test_corpus_formulas(self):
+        for case in default_cases():
+            for name, text in case.formulas.items():
+                assert_masks_agree(
+                    case.model, parse_state_formula(text), (case.name, name)
+                )
+
+    @pytest.mark.parametrize("mode", ["simultaneous", "wolves_then_sheep"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_river_crossing(self, n, mode):
+        case = build_case("sheep-wolves", n_sheep=n, n_wolves=n, mode=mode)
+        sheep, wolves = "s1", "w%d" % n
+        for text in (
+            case.formulas["crossing"],
+            "<< {%s} -> X !e; {%s} -> X e >>" % (sheep, wolves),
+            "<< {%s,%s} -> (!e U c); {} -> X !c >>" % (sheep, wolves),
+            "<< {%s} -> G !e >>" % ",".join(case.model.agents[:n]),
+        ):
+            assert_masks_agree(case.model, parse_state_formula(text), text)
+
+    def test_random_assignments_of_two_or_three_coalitions(self):
+        rng = make_rng(22022)
+        drawn = 0
+        while drawn < 200:
+            model = random_model(rng, max_states=5, max_agents=3)
+            assignment = random_assignment(
+                rng, model.agents, model.props_used(), 3,
+                allow_conjunction=True, allow_empty_coalition=True,
+            )
+            if len(assignment) < 2:
+                continue
+            drawn += 1
+            assert_masks_agree(model, strategic(assignment), str(assignment))
+
+    def test_repeated_actions_take_the_general_path(self):
+        model = duplicated_action()
+        index = Evaluator(model).effectivity
+        assert not isinstance(index.blocks("u", (0, 1)).of_profile, range)
+        for text in (
+            "<< {a,b} -> X p >>",
+            "<< {a,b} -> X !p >>",
+            "<< {a} -> X p; {b} -> X !p >>",
+            "<< {a,b} -> G !p >>",
+            "<< {a} -> (true U p); {a,b} -> X !p >>",
+            "<< {b} -> G (p | !p); {a} -> X p >>",
+        ):
+            assert_masks_agree(model, parse_state_formula(text), text)

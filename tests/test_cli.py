@@ -290,6 +290,27 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "invalid input: %s\n" % message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--formula", "<<{zz} -> X p>>"),
+            ("check", "--formula", "p & !<<{a} -> X (q | <<{b,zz} -> (p U q)>>)>>"),
+            ("oracle", "--mode", "positional", "--formula", "<<{zz} -> X p>>"),
+            ("stability", "--notion", "coeq",
+             "--goals", "<<{a} -> X p; {zz} -> G q>>"),
+        ],
+        ids=["check", "check-nested", "oracle", "stability"],
+    )
+    def test_an_agent_the_model_lacks_is_named(self, capsys, argv):
+        # The oracle used to answer `outcome: none (exact)` with exit 0,
+        # and the checker to fail on the index's KeyError.
+        code, out, err = run(capsys, *argv, "--corpus-case", "exampleA")
+        assert (code, out) == (2, "")
+        assert err == (
+            "invalid input: formula names agent zz, which the model does not"
+            " declare\n"
+        )
+
     def test_every_name_option_comes_with_a_corpus_case(self):
         # A --formula-name or --goals-name names a formula of the corpus
         # case, so a subcommand without --corpus-case could never use it.
@@ -366,6 +387,41 @@ class TestReports:
         assert base[1].replace("--formula-name gammaA",
                                "") == jobs[1].replace(
             "--formula-name gammaA --jobs 4", "")
+
+
+class TestHashSeed:
+    """Reports do not depend on the string hash seed.
+
+    The index keys dicts by sets of state names, and set order follows
+    `PYTHONHASHSEED`; no report may show that order.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--corpus-case", "sheep-wolves", "--params",
+             "n_sheep=3,n_wolves=3,mode=wolves_then_sheep",
+             "--formula-name", "crossing"),
+            ("bisim", "--corpus-case", "sheep-wolves", "--params",
+             "n_sheep=1,n_wolves=1,mode=simultaneous"),
+            ("oracle", "--corpus-case", "password", "--formula-name",
+             "protective", "--mode", "positional"),
+            ("axioms", "--samples", "30"),
+        ],
+        ids=["check", "bisim", "oracle", "axioms"],
+    )
+    def test_stdout_is_the_same_under_two_hash_seeds(self, argv):
+        outputs = []
+        for seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-m", "tlcga.cli", *argv],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("command: tlcga %s " % argv[0])
 
 
 class TestModelCommands:

@@ -136,6 +136,56 @@ class TestOutSets:
         assert ("zz",) not in blocks.of_restriction
 
 
+def twin_states():
+    """s and t share their action lists but not their outcomes; u has its own."""
+    shared = {"a": ("x", "y"), "b": ("z",)}
+    return ConcurrentGameModel(
+        ["a", "b"],
+        ["s", "t", "u"],
+        {"s": shared, "t": dict(shared), "u": {"a": ("x",), "b": ("z",)}},
+        {
+            ("s", ("x", "z")): "s",
+            ("s", ("y", "z")): "t",
+            ("t", ("x", "z")): "u",
+            ("t", ("y", "z")): "u",
+            ("u", ("x", "z")): "u",
+        },
+        {},
+    )
+
+
+class TestSharedShapes:
+    """States with equal action lists share their profiles and block shapes."""
+
+    COALITIONS = [(), (0,), (1,), (0, 1)]
+
+    def test_equal_action_lists_share_one_profile_tuple(self):
+        model = twin_states()
+        assert model.profiles("s") is model.profiles("t")
+        assert model.profiles("u") is not model.profiles("s")
+        assert model.profiles("u") == (("x", "z"),)
+
+    @pytest.mark.parametrize("coalition", COALITIONS)
+    def test_block_shapes_are_shared_and_outcomes_are_not(self, coalition):
+        index = Effectivity(twin_states())
+        s, t, u = (index.blocks(state, coalition) for state in "stu")
+        assert s.of_profile is t.of_profile
+        assert s.of_restriction is t.of_restriction
+        assert s.outcomes != t.outcomes
+        assert s.of_profile is not u.of_profile
+        assert len(u.of_profile) == 1
+        assert index.masks("s", coalition) != index.masks("t", coalition)
+
+    def test_outcomes_and_masks_are_the_states_own(self):
+        index = Effectivity(twin_states())
+        assert index.blocks("s", (1,)).outcomes == ({"s", "t"},)
+        assert index.blocks("t", (1,)).outcomes == ({"u"},)
+        assert index.masks("s", (0,)) == [({"s"}, 0b01), ({"t"}, 0b10)]
+        # Blocks with equal outcome sets merge into one mask.
+        assert index.masks("t", (0,)) == [({"u"}, 0b11)]
+        assert index.masks("t", (0, 1)) == [({"u"}, 0b11)]
+
+
 class TestCopySplitting:
     def test_example_b_is_not_injective(self):
         assert example_b().model.is_injective() is False

@@ -306,7 +306,7 @@ def build_river_crossing(
 
     states: list[str] = []
     actions: dict[str, dict[str, tuple[str, ...]]] = {}
-    outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+    rows: dict[str, tuple[str, ...]] = {}
     worklist: list[tuple] = []
     transitions = 0
 
@@ -324,7 +324,7 @@ def build_river_crossing(
             states.append(state)
             actions[state] = dict.fromkeys(agents, ("stay",) if sink else both)
             if sink:
-                outcome[(state, ("stay",) * len(agents))] = state
+                rows[state] = (state,)
             else:
                 worklist.append(config)
         return state
@@ -332,8 +332,8 @@ def build_river_crossing(
     visit(EATEN)
     visit(CROSSED)
     start = visit(EATEN if _dangerous(n_sheep, n_wolves) else (n_sheep, n_wolves, "L"))
-    profiles = [
-        (profile, sum(bit[a] for a, act in zip(agents, profile) if act == "board"))
+    boarding = [
+        sum(bit[a] for a, act in zip(agents, profile) if act == "board")
         for profile in itertools.product(both, repeat=len(agents))
     ]
     while worklist:
@@ -345,7 +345,8 @@ def build_river_crossing(
         sheep_mask, wolves_mask = here & flock, here & ~flock
         # This state's target per (boarding sheep, boarding wolves) count.
         targets: dict[tuple[int, int], str] = {}
-        for profile, boarders in profiles:
+        row = []
+        for boarders in boarding:
             count = ((boarders & sheep_mask).bit_count(),
                      (boarders & wolves_mask).bit_count())
             target = targets.get(count)
@@ -358,10 +359,11 @@ def build_river_crossing(
                 else:
                     target = resolve(*config[:3], boarding_sheep, config[3])
                 target = targets[count] = visit(target)
-            outcome[(state, profile)] = target
+            row.append(target)
+        rows[state] = tuple(row)
 
     valuation = {"e": [EATEN], "c": [CROSSED]}
-    return ConcurrentGameModel(agents, states, actions, outcome, valuation), start
+    return ConcurrentGameModel.from_rows(agents, states, actions, rows, valuation), start
 
 
 def _crossing_formula(sheep: list[str], wolves: list[str]) -> str:

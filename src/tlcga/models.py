@@ -3,9 +3,11 @@
 A model fixes a set of agents, a finite state space, a non-empty list of
 actions per state and agent, a total deterministic outcome function over
 action profiles, and a valuation of atomic propositions. Profiles are
-tuples aligned with the model's canonical (sorted) agent order.
-`Effectivity` indexes, for one query, each coalition's action blocks
-and their outcome sets.
+tuples aligned with the model's canonical (sorted) agent order. The
+outcome function is held as one row of targets per state, aligned with
+`profiles(state)`; every reader goes through `row`. `Effectivity`
+indexes, for one query, each coalition's action blocks and their outcome
+sets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class ResourceLimitError(RuntimeError):
 
 # The most transitions any model the program builds may have: a `scos`
 # split or a river crossing. The split of
-# sheep-wolves(4,4,wolves_then_sheep) has 1,392,833 (about 250 MB).
+# sheep-wolves(4,4,wolves_then_sheep) has 1,392,833; its copies share
+# their rows, so it holds about 6 MB (27 MB peak RSS with its build).
 MAX_TRANSITIONS = 2_000_000
 
 
@@ -40,17 +43,24 @@ def format_profile(agents: tuple[str, ...], profile: tuple[str, ...]) -> str:
 
 
 class ConcurrentGameModel:
-    """Immutable finite concurrent game model."""
+    """Immutable finite concurrent game model.
+
+    The constructor takes the outcome as a `(state, profile) -> target`
+    mapping, for hand-written models and tests; built models use
+    `from_rows`. A profile the mapping lacks is a gap (None) in its row;
+    keys that fit no row are kept, in order, for `validate` alone.
+    """
 
     __slots__ = (
         "agents",
         "states",
         "actions",
-        "outcome",
         "valuation",
         "_state_set",
         "_props_at",
         "_profiles",
+        "_rows",
+        "_stray",
     )
 
     def __init__(
@@ -61,6 +71,36 @@ class ConcurrentGameModel:
         outcome: Mapping[tuple[str, tuple[str, ...]], str],
         valuation: Mapping[str, Iterable[str]],
     ) -> None:
+        self._init(agents, states, actions, valuation)
+        rows, placed = {}, 0
+        for state in self.states:
+            row = rows[state] = tuple([
+                outcome.get((state, profile)) for profile in self.profiles(state)
+            ])
+            placed += len(row) - row.count(None)
+        stray = []
+        # A repeated action repeats profiles, so `placed` can overcount.
+        repeats = any(len(set(acts)) < len(acts)
+                      for per in self.actions.values() for acts in per.values())
+        if repeats or placed != len(outcome):
+            available = {state: set(self.profiles(state)) for state in self.states}
+            stray = [(state, profile) for state, profile in outcome
+                     if profile not in available.get(state, ())]
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_stray", stray)
+
+    @classmethod
+    def from_rows(cls, agents, states, actions, rows: Mapping[str, Sequence[str]],
+                  valuation) -> "ConcurrentGameModel":
+        """A model whose `rows[state]` lists the state's targets in the
+        order of `profiles(state)`, one per profile."""
+        model = cls.__new__(cls)
+        model._init(agents, states, actions, valuation)
+        object.__setattr__(model, "_rows", {s: tuple(rows[s]) for s in model.states})
+        object.__setattr__(model, "_stray", [])
+        return model
+
+    def _init(self, agents, states, actions, valuation) -> None:
         agent_list = list(agents)
         if len(set(agent_list)) != len(agent_list):
             raise InvalidModelError("duplicate agent names")
@@ -81,7 +121,6 @@ class ConcurrentGameModel:
                 for state in state_list
             },
         )
-        object.__setattr__(self, "outcome", dict(outcome))
         object.__setattr__(
             self,
             "valuation",
@@ -132,14 +171,28 @@ class ConcurrentGameModel:
             self._profiles[state] = cached
         return cached
 
+    def row(self, state: str) -> tuple[str, ...]:
+        """The state's targets, aligned with `profiles(state)`; a gap
+        raises what `out` raises for the first missing profile."""
+        row = self._rows[state]
+        if None in row:
+            self.out(state, self.profiles(state)[row.index(None)])
+        return row
+
     def out(self, state: str, profile: tuple[str, ...]) -> str:
+        """The target of `profile` at `state`, found by the profile's
+        position in `profiles(state)`. A gap, an unavailable profile or an
+        unknown state raises InvalidModelError."""
         try:
-            return self.outcome[(state, profile)]
-        except KeyError:
+            target = self._rows[state][self.profiles(state).index(profile)]
+        except (KeyError, ValueError):
+            target = None
+        if target is None:
             raise InvalidModelError(
                 "no outcome at %s for profile %s"
                 % (state, format_profile(self.agents, profile))
-            ) from None
+            )
+        return target
 
     def profile_as_mapping(self, profile: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.agents, profile))
@@ -162,8 +215,7 @@ class ConcurrentGameModel:
                     problems.append(
                         "duplicate actions for agent %s at state %s" % (agent, state)
                     )
-            for profile in self.profiles(state):
-                target = self.outcome.get((state, profile))
+            for profile, target in zip(self.profiles(state), self._rows[state]):
                 if target is None:
                     problems.append(
                         "outcome not total: no transition at %s for profile %s"
@@ -174,11 +226,10 @@ class ConcurrentGameModel:
                         "transition from %s via %s targets unknown state %s"
                         % (state, format_profile(self.agents, profile), target)
                     )
-        available = {state: set(self.profiles(state)) for state in self.states}
-        for state, profile in self.outcome:
-            if state not in available:
+        for state, profile in self._stray:
+            if state not in self._state_set:
                 problems.append("transition from unknown state %s" % state)
-            elif profile not in available[state]:
+            else:
                 problems.append(
                     "transition from %s uses unavailable profile %s"
                     % (state, format_profile(self.agents, profile))
@@ -193,9 +244,7 @@ class ConcurrentGameModel:
     def is_injective(self) -> bool:
         """Whether distinct profiles always lead to distinct outcomes."""
         for state in self.states:
-            profiles = self.profiles(state)
-            targets = {self.out(state, profile) for profile in profiles}
-            if len(targets) != len(profiles):
+            if len(set(self.row(state))) != len(self.profiles(state)):
                 return False
         return True
 
@@ -211,14 +260,14 @@ class ConcurrentGameModel:
         than `MAX_TRANSITIONS` raises `ResourceLimitError` before
         anything is built.
         """
-        incoming_rank: dict[tuple[str, tuple[str, ...]], int] = {}
+        ranks: dict[str, list[int]] = {}
         copy_count: dict[str, int] = {state: 1 for state in self.states}
         for source in self.states:
             per_target: dict[str, int] = {}
-            for profile in self.profiles(source):
-                target = self.out(source, profile)
+            ranks[source] = rank_of = []
+            for target in self.row(source):
                 rank = per_target.get(target, 0)
-                incoming_rank[(source, profile)] = rank
+                rank_of.append(rank)
                 per_target[target] = rank + 1
             for target, count in per_target.items():
                 if count > copy_count[target]:
@@ -252,21 +301,22 @@ class ConcurrentGameModel:
             for state in self.states
             for name in copy_names[state]
         }
-        new_outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+        new_rows: dict[str, tuple[str, ...]] = {}
         for source in self.states:
-            for profile in self.profiles(source):
-                target = self.out(source, profile)
-                redirected = copy_names[target][incoming_rank[(source, profile)]]
-                for copy in copy_names[source]:
-                    new_outcome[(copy, profile)] = redirected
+            redirected = tuple([
+                copy_names[target][rank]
+                for target, rank in zip(self.row(source), ranks[source])
+            ])
+            for copy in copy_names[source]:
+                new_rows[copy] = redirected
         new_valuation = {
             prop: frozenset(
                 name for state in where for name in copy_names[state]
             )
             for prop, where in self.valuation.items()
         }
-        model = ConcurrentGameModel(
-            self.agents, new_states, new_actions, new_outcome, new_valuation
+        model = ConcurrentGameModel.from_rows(
+            self.agents, new_states, new_actions, new_rows, new_valuation
         )
         return model, copy_names
 
@@ -286,11 +336,8 @@ class ConcurrentGameModel:
             },
             "transitions": {
                 state: [
-                    {
-                        "profile": self.profile_as_mapping(profile),
-                        "to": self.out(state, profile),
-                    }
-                    for profile in self.profiles(state)
+                    {"profile": self.profile_as_mapping(profile), "to": target}
+                    for profile, target in zip(self.profiles(state), self.row(state))
                 ]
                 for state in self.states
             },
@@ -328,36 +375,30 @@ class ConcurrentGameModel:
                  + props + "]}").encode()
             )
         digest.update(b'],"transitions":{')
-        outcome = self.outcome
+        for state in self.states:
+            # Raise what `to_json_dict` raises: the first gap in model order.
+            self.row(state)
         # Each transition record is a profile prefix plus its quoted
         # target. `profiles` shares one tuple per action signature, so
         # the prefixes are built once per tuple, keyed by its id.
         prefixes: dict[int, list[str]] = {}
-        try:
-            for i, state in enumerate(ids):
-                profiles = self.profiles(state)
-                heads = prefixes.get(id(profiles))
-                if heads is None:
-                    heads = prefixes[id(profiles)] = [
-                        '{"profile":{' + ",".join([
-                            key + quote(action) for key, action in zip(keys, profile)
-                        ]) + '},"to":'
-                        for profile in profiles
-                    ]
-                targets = [outcome[(state, profile)] for profile in profiles]
-                tails = {target: quote(target) + "}" for target in set(targets)}
-                entries = map(operator.add, heads, map(tails.__getitem__, targets))
-                digest.update(
-                    (("," if i else "") + quote(state) + ":[" + ",".join(entries)
-                     + "]").encode()
-                )
-        except KeyError:
-            # Raise what `out` raises for the first missing outcome in
-            # model order, as `to_json_dict` does.
-            for state in self.states:
-                for profile in self.profiles(state):
-                    self.out(state, profile)
-            raise
+        for i, state in enumerate(ids):
+            profiles = self.profiles(state)
+            heads = prefixes.get(id(profiles))
+            if heads is None:
+                heads = prefixes[id(profiles)] = [
+                    '{"profile":{' + ",".join([
+                        key + quote(action) for key, action in zip(keys, profile)
+                    ]) + '},"to":'
+                    for profile in profiles
+                ]
+            targets = self._rows[state]
+            tails = {target: quote(target) + "}" for target in set(targets)}
+            entries = map(operator.add, heads, map(tails.__getitem__, targets))
+            digest.update(
+                (("," if i else "") + quote(state) + ":[" + ",".join(entries)
+                 + "]").encode()
+            )
         digest.update(b"}}")
         return digest.hexdigest()[:16]
 
@@ -388,12 +429,10 @@ class Effectivity:
     themselves: `of_profile` is `range(len(profiles))`. When an agent
     lists an action twice, it takes the general path.
 
-    Only `outcomes` is built per state, from the state's outcome row: a
-    list aligned with `profiles(state)`, read once and shared by every
-    coalition's blocks there. A missing outcome raises what `model.out`
-    raises. A block's outcome set is filled from the distinct (block,
-    outcome) pairs; the grand coalition's identity blocks get one
-    singleton per distinct outcome.
+    Only `outcomes` is built per state, from the model's `row(state)`,
+    so a missing outcome raises what `row` raises. A block's outcome set
+    is filled from the distinct (block, outcome) pairs; the grand
+    coalition's identity blocks get one singleton per distinct outcome.
 
     `masks` serves the strategic step: a state's distinct block outcome
     sets, each with the bitmask of the profile positions whose blocks
@@ -410,7 +449,6 @@ class Effectivity:
     def __init__(self, model: ConcurrentGameModel) -> None:
         self.model = model
         self._agent_index = {agent: i for i, agent in enumerate(model.agents)}
-        self._rows: dict[str, list[str]] = {}
         self._shapes: dict[
             tuple[int, tuple[int, ...]],
             tuple[Sequence[int], dict[tuple[str, ...], int]],
@@ -424,22 +462,6 @@ class Effectivity:
     def positions(self, coalition: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted({self._agent_index[agent] for agent in coalition}))
 
-    def _row(self, state: str) -> list[str]:
-        """The state's outcomes, aligned with `profiles(state)`."""
-        row = self._rows.get(state)
-        if row is None:
-            profiles = self.model.profiles(state)
-            outcome = self.model.outcome
-            try:
-                row = [outcome[state, profile] for profile in profiles]
-            except KeyError:
-                # Raise what `out` raises for the first missing outcome.
-                for profile in profiles:
-                    self.model.out(state, profile)
-                raise
-            self._rows[state] = row
-        return row
-
     def blocks(self, state: str, coalition: tuple[int, ...]) -> Blocks:
         cached = self._blocks.get((state, coalition))
         if cached is None:
@@ -450,7 +472,7 @@ class Effectivity:
 
     def _build(self, state: str, coalition: tuple[int, ...]) -> Blocks:
         profiles = self.model.profiles(state)
-        row = self._row(state)
+        row = self.model.row(state)
         of_profile, of_restriction = self._shape(profiles, coalition)
         if isinstance(of_profile, range):
             singleton = {target: frozenset((target,)) for target in set(row)}
@@ -506,7 +528,7 @@ class Effectivity:
             if isinstance(of_profile, range):
                 # Identity blocks: group the positions by their target.
                 members: dict[str, list[int]] = {}
-                for position, target in enumerate(self._row(state)):
+                for position, target in enumerate(self.model.row(state)):
                     members.setdefault(target, []).append(position)
                 cached = [
                     (frozenset((target,)), _bits(where))
@@ -642,11 +664,25 @@ def read_json(path: str):
     """The document in JSON file `path`.
 
     A file that is not JSON (bad syntax, bad UTF-8, or nesting too deep
-    for the decoder) raises InvalidModelError naming the file.
+    for the decoder), or an object that gives one key twice, raises
+    InvalidModelError naming the file.
     """
+
+    def unique(pairs: list) -> dict:
+        document = dict(pairs)
+        if len(document) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise InvalidModelError(
+                        "%s repeats the key %s in one object" % (path, key)
+                    )
+                seen.add(key)
+        return document
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise InvalidModelError("%s is not valid JSON: %s" % (path, err)) from None
         except RecursionError:
@@ -680,21 +716,18 @@ def disjoint_union(
     right_map = {state: "R:" + state for state in right.states}
     states = [left_map[s] for s in left.states] + [right_map[s] for s in right.states]
     actions = {}
-    outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+    rows: dict[str, tuple[str, ...]] = {}
     for model, renaming in ((left, left_map), (right, right_map)):
         for state in model.states:
             actions[renaming[state]] = {
                 agent: model.actions_of(state, agent) for agent in model.agents
             }
-            for profile in model.profiles(state):
-                outcome[(renaming[state], profile)] = renaming[
-                    model.out(state, profile)
-                ]
+            rows[renaming[state]] = tuple(map(renaming.__getitem__, model.row(state)))
     valuation: dict[str, set[str]] = {}
     for model, renaming in ((left, left_map), (right, right_map)):
         for prop, where in model.valuation.items():
             valuation.setdefault(prop, set()).update(
                 renaming[state] for state in where
             )
-    union = ConcurrentGameModel(left.agents, states, actions, outcome, valuation)
+    union = ConcurrentGameModel.from_rows(left.agents, states, actions, rows, valuation)
     return union, left_map, right_map

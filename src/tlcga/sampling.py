@@ -55,19 +55,19 @@ def random_model(
     agents = _AGENT_POOL[: rng.randint(min_agents, max_agents)]
     states = ["t%d" % i for i in range(rng.randint(1, max_states))]
     actions: dict[str, dict[str, tuple[str, ...]]] = {}
-    outcome: dict[tuple[str, tuple[str, ...]], str] = {}
+    rows: dict[str, tuple[str, ...]] = {}
     for state in states:
         actions[state] = {
             agent: tuple("m%d" % i for i in range(rng.randint(1, max_actions)))
             for agent in agents
         }
-        for profile in product(*(actions[state][a] for a in agents)):
-            outcome[(state, profile)] = rng.choice(states)
+        profiles = product(*actions[state].values())
+        rows[state] = tuple([rng.choice(states) for _ in profiles])
     valuation = {
         _PROP_POOL[i]: [s for s in states if rng.random() < 0.5]
         for i in range(rng.randint(1, max_props))
     }
-    return ConcurrentGameModel(agents, states, actions, outcome, valuation)
+    return ConcurrentGameModel.from_rows(agents, states, actions, rows, valuation)
 
 
 def random_state_formula(

@@ -301,12 +301,12 @@ class _Closure:
             of_profile, _, of_restriction = self.index.blocks(state, self.positions)
             block = of_restriction[tuple(joint)]
             targets = []
-            for profile, in_block in zip(model.profiles(state), of_profile):
+            for profile, in_block, target in zip(
+                model.profiles(state), of_profile, model.row(state)
+            ):
                 if in_block != block:
                     continue
-                target = update_memory(
-                    self.mode, memory, profile, model.out(state, profile)
-                )
+                target = update_memory(self.mode, memory, profile, target)
                 targets.append(target)
                 if target not in seen:
                     seen.add(target)

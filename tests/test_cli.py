@@ -971,6 +971,37 @@ class TestDocuments:
         assert (code, out) == (2, "")
         assert err.startswith("invalid input: %s %s" % (broken, message))
 
+    def test_a_repeated_key_in_a_model_is_named(self, capsys, tmp_path):
+        # Read as a plain JSON object, the second list of s would replace
+        # the first, and X !p would fail at s.
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"agents": ["a"],'
+            ' "states": [{"id": "s", "props": ["p"]}, {"id": "t", "props": []}],'
+            ' "actions": {"s": {"a": ["go"]}, "t": {"a": ["go"]}},'
+            ' "transitions": {"s": [{"profile": {"a": "go"}, "to": "t"}],'
+            ' "t": [{"profile": {"a": "go"}, "to": "t"}],'
+            ' "s": [{"profile": {"a": "go"}, "to": "s"}]}}'
+        )
+        code, out, err = run(capsys, "check", "--model", str(path), "--state",
+                             "s", "--formula", "<<{a} -> X !p>>")
+        assert (code, out) == (2, "")
+        assert err == "invalid input: %s repeats the key s in one object\n" % path
+
+    def test_a_repeated_key_in_a_witness_is_named(self, capsys, tmp_path):
+        path = tmp_path / "witness.json"
+        code, _, _ = run(capsys, "oracle", "--corpus-case", "exampleA",
+                         "--formula-name", "gammaA", "--mode", "play:3",
+                         "--save-witness", str(path))
+        assert code == 0
+        saved = path.read_text()
+        assert saved.startswith("{")
+        path.write_text('{"mode": "positional", ' + saved[1:])
+        code, out, err = run(capsys, "validate", "--corpus-case", "exampleA",
+                             "--formula-name", "gammaA", "--witness", str(path))
+        assert (code, out) == (2, "")
+        assert err == "invalid input: %s repeats the key mode in one object\n" % path
+
 
 class TestCorpus:
     def test_list_names_every_case(self, capsys):

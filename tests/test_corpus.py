@@ -153,7 +153,8 @@ class TestRiverCrossing:
         with pytest.raises(ResourceLimitError, match="more than 897 transitions"):
             build_river_crossing(3, 3)
         monkeypatch.setattr(models, "MAX_TRANSITIONS", 898)
-        assert len(build_river_crossing(3, 3)[0].outcome) == 898
+        model, _ = build_river_crossing(3, 3)
+        assert sum(len(model.row(state)) for state in model.states) == 898
 
     @pytest.mark.parametrize(
         "mode, size, transitions",
@@ -162,7 +163,7 @@ class TestRiverCrossing:
     def test_six_and_six_fit_the_budget(self, mode, size, transitions):
         model, _ = build_river_crossing(6, 6, mode)
         assert len(model.states) == size
-        assert len(model.outcome) == transitions
+        assert sum(len(model.row(state)) for state in model.states) == transitions
 
     @pytest.mark.parametrize(
         "n_sheep, n_wolves", [(21, 0), (1, 25), (30, 0), (10**9, 0)]

@@ -91,6 +91,74 @@ class TestValidation:
         )
         assert any("mentions unknown state ghost" in p for p in model.validate())
 
+    # Stray transitions (an unknown source, then an unavailable profile)
+    # sit between the states' own, so the list shows they are reported in
+    # the mapping's order, after every state's own faults.
+    FAULTY = {
+        ("s", ("x", "z")): "t",
+        ("ghost", ("x", "z")): "s",
+        ("u", ("x", "z")): "nowhere",
+        ("s", ("w", "z")): "t",
+    }
+    FAULTS = [
+        "outcome not total: no transition at s for profile (a=y, b=z)",
+        "empty action set for agent a at state t",
+        "duplicate actions for agent a at state u",
+        "transition from u via (a=x, b=z) targets unknown state nowhere",
+        "transition from u via (a=x, b=z) targets unknown state nowhere",
+        "transition from unknown state ghost",
+        "transition from s uses unavailable profile (a=w, b=z)",
+        "valuation of p mentions unknown state phantom",
+        "valuation of q mentions unknown state aa",
+        "valuation of q mentions unknown state zz",
+    ]
+
+    def test_every_fault_is_listed_in_order(self):
+        model = ConcurrentGameModel(
+            agents=["b", "a"],
+            states=["s", "t", "u"],
+            actions={
+                "s": {"a": ["x", "y"], "b": ["z"]},
+                "t": {"a": [], "b": ["z"]},
+                "u": {"a": ["x", "x"], "b": ["z"]},
+            },
+            outcome=self.FAULTY,
+            valuation={"q": ["zz", "u", "aa"], "p": ["s", "phantom"]},
+        )
+        assert model.validate() == self.FAULTS
+
+    def test_strays_are_listed_when_no_action_repeats(self):
+        # As above, but u's actions are distinct: no duplicate-actions
+        # fault, and u's one profile gives its target fault once.
+        model = ConcurrentGameModel(
+            agents=["b", "a"],
+            states=["s", "t", "u"],
+            actions={
+                "s": {"a": ["x", "y"], "b": ["z"]},
+                "t": {"a": [], "b": ["z"]},
+                "u": {"a": ["x"], "b": ["z"]},
+            },
+            outcome=self.FAULTY,
+            valuation={"q": ["zz", "u", "aa"], "p": ["s", "phantom"]},
+        )
+        assert model.validate() == [
+            fault for fault in dict.fromkeys(self.FAULTS)
+            if not fault.startswith("duplicate actions")
+        ]
+
+    @pytest.mark.parametrize(
+        "agents, states, faults",
+        [
+            ([], ["s"], ["model declares no agents",
+                         "outcome not total: no transition at s for profile ()"]),
+            (["a"], [], ["model has no states"]),
+        ],
+        ids=["no-agents", "no-states"],
+    )
+    def test_an_empty_universe_is_listed(self, agents, states, faults):
+        model = ConcurrentGameModel(agents, states, {}, {}, {})
+        assert model.validate() == faults
+
     def test_immutable(self):
         model = tiny_loop()
         with pytest.raises(AttributeError):
@@ -345,6 +413,71 @@ class TestSerialization:
         with pytest.raises(InvalidModelError) as caught:
             load_model(str(path))
         assert str(caught.value).startswith("%s %s" % (path, message))
+
+
+def through_mapping(model):
+    """The same model built by the mapping constructor from its rows."""
+    outcome = {
+        (state, profile): target
+        for state in model.states
+        for profile, target in zip(model.profiles(state), model.row(state))
+    }
+    return ConcurrentGameModel(
+        model.agents, model.states, model.actions, outcome, model.valuation
+    )
+
+
+def _built_models():
+    for mode in ("simultaneous", "wolves_then_sheep"):
+        for n in range(1, 6):
+            yield "sheep-wolves(%d,%d,%s)" % (n, n, mode), sheep_wolves(n, n, mode).model
+    for case in default_cases():
+        yield "split " + case.name, case.model.scos()[0]
+    model = example_a().model
+    yield "exampleA + split", disjoint_union(model, model.scos()[0])[0]
+    rng = make_rng(6201)
+    for draw in range(200):
+        yield "random draw %d" % draw, random_model(rng, max_actions=3)
+
+
+class TestRowConstructors:
+    """`from_rows` and the mapping constructor build the same model."""
+
+    def test_every_built_model_agrees_with_its_mapping(self):
+        for label, model in _built_models():
+            other = through_mapping(model)
+            assert other.content_hash() == model.content_hash(), label
+            assert other.to_json_dict() == model.to_json_dict(), label
+            assert other.validate() == model.validate() == [], label
+            for state in model.states:
+                assert other.row(state) == model.row(state), (label, state)
+
+    def test_a_gap_raises_what_out_raises(self):
+        model = ConcurrentGameModel(
+            agents=["a"],
+            states=["s"],
+            actions={"s": {"a": ["x", "y", "z"]}},
+            outcome={("s", ("x",)): "s"},
+            valuation={},
+        )
+        for read in (lambda: model.row("s"), model.scos, model.is_injective,
+                     model.to_json_dict, model.content_hash):
+            with pytest.raises(
+                InvalidModelError, match=r"^no outcome at s for profile \(a=y\)$"
+            ):
+                read()
+
+    @pytest.mark.parametrize(
+        "state, profile", [("s", ("w",)), ("ghost", ("x",))],
+        ids=["unavailable-profile", "unknown-state"],
+    )
+    def test_out_names_a_profile_it_cannot_place(self, state, profile):
+        model = ConcurrentGameModel(
+            ["a"], ["s"], {"s": {"a": ["x"]}},
+            {("s", ("x",)): "s", (state, profile): "s"}, {},
+        )
+        with pytest.raises(InvalidModelError, match="^no outcome at %s" % state):
+            model.out(state, profile)
 
 
 class TestDisjointUnion:
